@@ -145,14 +145,6 @@ class BipartiteColorer:
     def overflow_count(self) -> int:
         return self._overflow_serial
 
-    def counter(self, u: int, i: int) -> int:
-        """Current counter value of node u in slice i (0 if untouched)."""
-        if not (0 <= u < self.n):
-            raise ValidationError(f"vertex {u} out of range for n={self.n}")
-        if not (0 <= i < self.s):
-            raise ValidationError(f"index {i} out of range for s={self.s}")
-        return self._counters.get(u * self.s + i, 0)
-
     def bit(self, u: int, i: int) -> int:
         """Bit i of node u's signature; defines its side in slice i."""
         if not (0 <= u < self.n):

@@ -10,6 +10,7 @@ max_degree / num_chunks + 1 colours.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import (
@@ -22,7 +23,7 @@ from .core import (
     canonicalize,
     validate_endpoints,
 )
-from .offline import AdjacencyGraph, color_greedy, color_vizing
+from .offline import AdjacencyGraph, color_vizing, take_free_colour
 
 
 @dataclass(frozen=True)
@@ -43,21 +44,15 @@ class ChunkConfig:
         return self.alpha * self.alpha * self.n
 
 
-_OFFLINE = {"vizing": color_vizing, "greedy": color_greedy}
-
-
 class ChunkColorer:
     """Sequential state machine: feed(edge) buffers, flushes announce.
 
-    ``offline`` selects the per-chunk subroutine; the max_degree + 1 colourer
-    is the default and is what the colour-count accounting assumes.
+    Each chunk is coloured offline with the max_degree + 1 colourer, which is
+    what the colour-count accounting assumes.
     """
 
-    def __init__(self, config: ChunkConfig, offline: str = "vizing"):
-        if offline not in _OFFLINE:
-            raise ValidationError(f"unknown offline subroutine {offline!r}")
+    def __init__(self, config: ChunkConfig):
         self.config = config
-        self._colour_chunk = _OFFLINE[offline]
         self._buffer: list[Edge] = []
         self.chunk_index = 0
         self.finished = False
@@ -105,26 +100,18 @@ class ChunkColorer:
         workspace = 3 * len(support)
         self.meter.charge(workspace)
         graph = AdjacencyGraph.from_edges(self.config.n, support)
-        local = self._colour_chunk(graph)
+        local = color_vizing(graph)
 
         if len(support) != len(chunk):
-            used_at: dict[int, set[int]] = {}
+            used_at: defaultdict[int, set[int]] = defaultdict(set)
             for e, c in local.items():
-                used_at.setdefault(e.u, set()).add(c)
-                used_at.setdefault(e.v, set()).add(c)
-            emitted: set[Edge] = set()
+                used_at[e.u].add(c)
+                used_at[e.v].add(c)
             announcements = []
             for e in chunk:
-                if e not in emitted:
-                    emitted.add(e)
-                    c = local[e]
-                else:
-                    taken = used_at.setdefault(e.u, set()) | used_at.setdefault(e.v, set())
-                    c = 0
-                    while c in taken:
-                        c += 1
-                    used_at[e.u].add(c)
-                    used_at[e.v].add(c)
+                c = local.pop(e, None)  # only the first occurrence finds its colour
+                if c is None:
+                    c = take_free_colour(used_at[e.u], used_at[e.v])
                 announcements.append((e, ChunkColour(self.chunk_index, c)))
         else:
             announcements = [(e, ChunkColour(self.chunk_index, local[e])) for e in chunk]

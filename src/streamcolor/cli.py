@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .adversary import recommended_vertex_count, worst_case_stream
@@ -19,9 +20,9 @@ from .chunked import ChunkColorer, ChunkConfig
 from .core import (
     TranscriptParseError,
     ValidationError,
+    canonicalize,
     read_edge_list,
     read_transcript,
-    run_stream,
     write_edge_list,
     write_transcript,
 )
@@ -36,11 +37,13 @@ from .harness import (
     CSV_COLUMNS,
     ExperimentSpec,
     GreedyStreamColorer,
+    colour_pass,
     rows_to_csv,
     run_experiment,
 )
 from .offline import AdjacencyGraph, color_greedy, color_vizing, colours_used, is_proper
-from .verify import chunk_concentration, colour_budget, verify
+from .verify import chunk_concentration, verify
+from .verify import colour_budget  # noqa: F401  (unused; perfbench/spans.py wraps it)
 
 
 def _out_dir() -> Path:
@@ -65,76 +68,35 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    started = time.perf_counter()
     header, edges = read_edge_list(args.graph)
     n = header.n
-    started = time.perf_counter()
+    seed = args.seed if args.seed is not None else (header.seed or 0)
     if args.algo == "chunk":
-        alpha = args.alpha if args.alpha is not None else default_alpha(n)
-        colorer = ChunkColorer(ChunkConfig(n=n, alpha=alpha))
-        param = alpha
+        param = args.alpha if args.alpha is not None else default_alpha(n)
+        colorer = ChunkColorer(ChunkConfig(n=n, alpha=param))
     elif args.algo == "bipartite":
-        s = args.s if args.s is not None else default_signature_bits(n)
-        seed = args.seed if args.seed is not None else (header.seed or 0)
-        colorer = BipartiteColorer(
-            n, s, seed,
-            strict_meter=not args.sparse_meter,
-            expose_randomness=args.expose_randomness,
-        )
-        param = s
+        param = args.s if args.s is not None else default_signature_bits(n)
+        colorer = BipartiteColorer(n, param, seed, strict_meter=not args.sparse_meter)
     else:
-        colorer = GreedyStreamColorer(n)
-        param = 0
-    transcript = run_stream(colorer, edges, header)
-    wall = time.perf_counter() - started
-
-    report = verify(transcript)
-    budget = None
-    if args.algo == "chunk":
-        budget = colour_budget(report, "chunk")
-    elif args.algo == "bipartite":
-        budget = colour_budget(report, "bipartite", s=param)
-
+        colorer, param = GreedyStreamColorer(n), 0
     out = _resolve(args.output, "run.transcript")
-    write_transcript(out, transcript)
-
-    ok = report.proper and (budget is None or budget.passed)
-    chunk_count = sum(1 for k in report.per_palette_stats if k[0] == "chunk")
-    row = {
-        "algo": args.algo,
-        "family": args.graph,
-        "order": "as-given",
-        "seed": args.seed if args.seed is not None else (header.seed or 0),
-        "n": n,
-        "m": len(edges),
-        "max_degree": report.max_degree,
-        "param": param,
-        "chunks": chunk_count,
-        "colours": report.distinct_colours,
-        "overflow": report.overflow_colours,
-        "max_palette_degree": max(
-            (st.max_degree for st in report.per_palette_stats.values()), default=0
-        ),
-        "peak_words": colorer.meter.peak_words,
-        "peak_buffered_edges": getattr(colorer, "peak_buffered_edges", 0),
-        "proper": int(ok),
-        "error": "",
-        "wall_time_s": f"{wall:.4f}",
-    }
+    row = {"algo": args.algo, "family": args.graph, "order": "as-given", "seed": seed}
+    _, report = colour_pass(row, colorer, param, header, edges, started,
+                            partial(write_transcript, out))
     _emit_csv([row], args.csv)
     print(
-        f"{args.algo}: {report.distinct_colours} colours on m={len(edges)} "
-        f"max_degree={report.max_degree}, proper={report.proper}, "
-        f"peak_words={colorer.meter.peak_words}, transcript: {out}"
+        f"{args.algo}: {row['colours']} colours on m={row['m']} "
+        f"max_degree={row['max_degree']}, proper={report.proper}, "
+        f"peak_words={row['peak_words']}, transcript: {out}"
     )
-    return 0 if ok else 1
+    return 0 if row["proper"] else 1
 
 
 def _cmd_verify(args) -> int:
     transcript = read_transcript(args.transcript)
     report = verify(transcript)
     graph_header, graph_edges = read_edge_list(args.graph)
-    from .core import canonicalize
-
     want = sorted(canonicalize(e) for e in graph_edges)
     got = sorted(canonicalize(e) for e, _ in transcript.records)
     complete = want == got
@@ -216,10 +178,13 @@ def _cmd_worst_case(args) -> int:
 
 def _parse_int_list(text: str) -> list[int]:
     """Accept `1,2,3` and `0..9` range syntax."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValidationError(f"expected `1,2,3` or `lo..hi` integers, got {text!r}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -280,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="signature bits (default ceil(36 ln n))")
     p.add_argument("--seed", type=int, help="colourer seed (default: stream header seed)")
     p.add_argument("--sparse-meter", action="store_true", help="meter the sparse counter table instead of the worst case")
-    p.add_argument("--expose-randomness", action="store_true", help="allow adversarial readers to inspect signatures")
     p.add_argument("-o", "--output")
     p.add_argument("--csv", help="append the metrics row to this CSV file")
     p.set_defaults(func=_cmd_run)
@@ -325,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, TranscriptParseError, FileNotFoundError) as exc:
+    except (ValidationError, TranscriptParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -193,7 +193,7 @@ def run_stream(colorer, edges: Iterable[Edge], header: StreamHeader) -> Transcri
 # File formats.
 #
 # Edge list:   header line `n <n> [m <m>] [seed <seed>]`, then `u v` per line,
-#              stream order = line order.
+#              stream order = line order; 0 <= u, v < n and u != v.
 # Transcript:  same header line, then `u v <colour>` per line with colour
 #              rendered by format_colour.
 # ---------------------------------------------------------------------------
@@ -239,6 +239,7 @@ def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
     if not lines:
         raise TranscriptParseError("empty file", 1)
     header = _parse_header(lines[0], 1)
+    n = header.n
     edges = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -247,9 +248,14 @@ def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
         if len(tokens) != 2:
             raise TranscriptParseError(f"expected `u v`, got {line!r}", line_no)
         try:
-            edges.append(Edge(int(tokens[0]), int(tokens[1])))
+            u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
+        if u == v:
+            raise TranscriptParseError(f"self-loop ({u},{v})", line_no)
+        if not (0 <= u < n and 0 <= v < n):
+            raise TranscriptParseError(f"edge ({u},{v}) out of range for n={n}", line_no)
+        edges.append(Edge(u, v))
     return header, edges
 
 

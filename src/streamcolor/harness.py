@@ -8,7 +8,10 @@ reproducibility comparison.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .bipartite import BipartiteColorer
@@ -19,6 +22,7 @@ from .core import (
     ContractViolation,
     Edge,
     SpaceMeter,
+    StreamHeader,
     Transcript,
     ValidationError,
     canonicalize,
@@ -33,7 +37,8 @@ from .generators import (
     default_signature_bits,
     generate,
 )
-from .verify import colour_budget, verify
+from .offline import take_free_colour
+from .verify import VerificationReport, colour_budget, verify
 
 CSV_VERSION = "streamcolor-csv-1"
 CSV_COLUMNS = [
@@ -67,7 +72,7 @@ class GreedyStreamColorer:
         if n < 1:
             raise ValidationError(f"vertex count must be >= 1, got {n}")
         self.n = n
-        self._used: dict[int, set[int]] = {}
+        self._used: defaultdict[int, set[int]] = defaultdict(set)
         self.meter = SpaceMeter()
         self.meter.charge(1)
         self.finished = False
@@ -77,13 +82,7 @@ class GreedyStreamColorer:
             raise ContractViolation("feed after finish")
         validate_endpoints(edge, self.n)
         e = canonicalize(edge)
-        au = self._used.setdefault(e.u, set())
-        av = self._used.setdefault(e.v, set())
-        c = 0
-        while c in au or c in av:
-            c += 1
-        au.add(c)
-        av.add(c)
+        c = take_free_colour(self._used[e.u], self._used[e.v])
         self.meter.charge(2)  # one colour word per endpoint set
         return [(e, ChunkColour(0, c))]
 
@@ -102,7 +101,6 @@ class ExperimentSpec:
     seeds: list[int]
     alpha: int | None = None  # chunk scale; default ceil(log2 n)
     s: int | None = None  # signature width; default ceil(36 ln n)
-    strict_meter: bool = True
     out_dir: Path | None = None  # transcripts written here when set
 
     def __post_init__(self):
@@ -122,8 +120,44 @@ def _make_colorer(spec: ExperimentSpec, n: int, seed: int):
         return ChunkColorer(ChunkConfig(n=n, alpha=alpha)), alpha
     if spec.algo == "bipartite":
         s = spec.s if spec.s is not None else default_signature_bits(n)
-        return BipartiteColorer(n, s, seed, strict_meter=spec.strict_meter), s
+        return BipartiteColorer(n, s, seed), s
     return GreedyStreamColorer(n), 0
+
+
+def colour_pass(
+    row: dict, colorer, param: int, header: StreamHeader, edges: list[Edge],
+    started: float, save: Callable[[Transcript], None] | None = None,
+) -> tuple[Transcript, VerificationReport]:
+    """The one step behind every CSV row, for ``run_single`` and
+    ``streamcolor run`` alike: colour ``edges`` with ``colorer``, verify the
+    transcript against the colour budget of ``row["algo"]``, hand it to
+    ``save`` and fill ``row``'s measured columns.  ``wall_time_s`` runs from
+    ``started``, taken before the stream was generated or read, until the
+    transcript is saved."""
+    algo = row["algo"]
+    transcript = run_stream(colorer, edges, header)
+    report = verify(transcript)
+    # the greedy baseline has no per-run bound; only the bipartite one reads s
+    in_budget = algo == "greedy-baseline" or colour_budget(report, algo, s=param).passed
+    row.update(
+        n=header.n,
+        m=len(edges),
+        max_degree=report.max_degree,
+        param=param,
+        chunks=sum(k[0] == "chunk" for k in report.per_palette_stats) if algo == "chunk" else 0,
+        colours=report.distinct_colours,
+        overflow=report.overflow_colours,
+        max_palette_degree=max(
+            (st.max_degree for st in report.per_palette_stats.values()), default=0
+        ),
+        peak_words=colorer.meter.peak_words,
+        peak_buffered_edges=getattr(colorer, "peak_buffered_edges", 0),
+        proper=int(report.proper and in_budget),
+    )
+    if save is not None:
+        save(transcript)
+    row["wall_time_s"] = f"{time.perf_counter() - started:.4f}"
+    return transcript, report
 
 
 def run_single(spec: ExperimentSpec, seed: int) -> tuple[dict, Transcript | None]:
@@ -139,34 +173,12 @@ def run_single(spec: ExperimentSpec, seed: int) -> tuple[dict, Transcript | None
     try:
         header, edges = generate(spec.family, spec.order, seed)
         colorer, param = _make_colorer(spec, header.n, seed)
-        transcript = run_stream(colorer, edges, header)
-        report = verify(transcript)
-        budget = None
-        if spec.algo == "chunk":
-            budget = colour_budget(report, "chunk")
-        elif spec.algo == "bipartite":
-            budget = colour_budget(report, "bipartite", s=param)
-        chunk_keys = [k for k in report.per_palette_stats if k[0] == "chunk"]
-        row.update(
-            n=header.n,
-            m=len(edges),
-            max_degree=report.max_degree,
-            param=param,
-            chunks=len(chunk_keys) if spec.algo == "chunk" else 0,
-            colours=report.distinct_colours,
-            overflow=report.overflow_colours,
-            max_palette_degree=max(
-                (st.max_degree for st in report.per_palette_stats.values()), default=0
-            ),
-            peak_words=colorer.meter.peak_words,
-            peak_buffered_edges=getattr(colorer, "peak_buffered_edges", 0),
-            proper=int(report.proper and (budget is None or budget.passed)),
-        )
+        save = None
         if spec.out_dir is not None:
             spec.out_dir.mkdir(parents=True, exist_ok=True)
             name = f"{spec.algo}_{row['family']}_{row['order']}_{seed}.transcript"
-            write_transcript(spec.out_dir / name, transcript)
-        row["wall_time_s"] = f"{time.perf_counter() - start:.4f}"
+            save = partial(write_transcript, spec.out_dir / name)
+        transcript, _ = colour_pass(row, colorer, param, header, edges, start, save)
         return row, transcript
     except Exception as exc:  # record, keep the sweep going
         row["error"] = f"{type(exc).__name__}: {exc}"

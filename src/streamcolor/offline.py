@@ -49,6 +49,17 @@ class AdjacencyGraph:
         return len(self.adj[v])
 
 
+def take_free_colour(used_u: set[int], used_v: set[int]) -> int:
+    """Smallest colour in neither endpoint's set; it is added to both.  The
+    one smallest-free-colour rule behind every greedy colouring here."""
+    c = 0
+    while c in used_u or c in used_v:
+        c += 1
+    used_u.add(c)
+    used_v.add(c)
+    return c
+
+
 def color_greedy(g: AdjacencyGraph) -> dict[Edge, int]:
     """Smallest colour unused at either endpoint, edges in stored order.
 
@@ -56,16 +67,7 @@ def color_greedy(g: AdjacencyGraph) -> dict[Edge, int]:
     max_degree - 1 other colours at each endpoint.
     """
     used: list[set[int]] = [set() for _ in range(g.n)]
-    colouring: dict[Edge, int] = {}
-    for edge in g.edges:
-        taken = used[edge.u] | used[edge.v]
-        c = 0
-        while c in taken:
-            c += 1
-        colouring[edge] = c
-        used[edge.u].add(c)
-        used[edge.v].add(c)
-    return colouring
+    return {edge: take_free_colour(used[edge.u], used[edge.v]) for edge in g.edges}
 
 
 def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:

@@ -37,7 +37,7 @@ def chunk_colorer(n, alpha):
 
 class TestFeedAndFlush:
     def test_below_capacity_buffers_silently(self):
-        c = ChunkColorer(ChunkConfig(n=3, alpha=1), offline="vizing")
+        c = ChunkColorer(ChunkConfig(n=3, alpha=1))
         # capacity is 3: two edges stay buffered
         assert c.feed(Edge(0, 1)) == []
         assert c.feed(Edge(1, 2)) == []
@@ -154,13 +154,3 @@ class TestStreamProperties:
         assert report.records == 4
         assert report.duplicate_edges == 2
         assert report.proper  # copies share endpoints, so colours must differ
-
-    def test_greedy_subroutine_selectable(self):
-        header, edges = generate(CompleteGraph(10), UniformRandomPermutation(), 4)
-        colorer = ChunkColorer(ChunkConfig(n=10, alpha=1), offline="greedy")
-        transcript = run_stream(colorer, edges, header)
-        assert verify(transcript).proper
-
-    def test_unknown_subroutine_rejected(self):
-        with pytest.raises(ValidationError):
-            ChunkColorer(ChunkConfig(n=10, alpha=1), offline="magic")

@@ -1,7 +1,9 @@
 import pytest
 
+from streamcolor import AsGiven, ExperimentSpec, FromFile, run_single
 from streamcolor.cli import main
 from streamcolor.core import read_edge_list, read_transcript
+from streamcolor.harness import CSV_COLUMNS, rows_to_csv
 
 
 @pytest.fixture()
@@ -89,6 +91,48 @@ def test_sweep_appends_rows(out_env):
 def test_usage_error_exit_code_two(out_env):
     assert main(["generate", "--family", "dodecahedron:5"]) == 2
     assert main(["run", "--algo", "chunk", "--graph", str(out_env / "missing.el")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "complete:4", "--order", "random:x"],
+        ["sweep", "--family", "complete:4", "--algo", "chunk", "--seeds", "1,x"],
+        ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "1..x"],
+        ["run", "--algo", "chunk", "--graph", "."],  # a directory
+    ],
+    ids=["order-seed", "seed-list", "alpha-range", "graph-directory"],
+)
+def test_malformed_value_exits_two(out_env, capsys, argv):
+    # exit 1 means a verification failure; bad input is a usage error
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "algo, flags, spec_param",
+    [
+        ("chunk", ["--alpha", "1"], {"alpha": 1}),
+        ("bipartite", ["--s", "8"], {"s": 8}),
+        ("greedy-baseline", [], {}),
+    ],
+    ids=["chunk", "bipartite", "greedy-baseline"],
+)
+def test_run_row_matches_harness_row(out_env, algo, flags, spec_param):
+    main(["generate", "--family", "gnp:40:0.3", "--order", "random", "--seed", "7",
+          "-o", "g.el"])
+    graph = str(out_env / "g.el")
+    rc = main(["run", "--algo", algo, *flags, "--seed", "7", "--graph", graph,
+               "-o", "t.tr", "--csv", "rows.csv"])
+    assert rc == 0
+    cli_row = (out_env / "rows.csv").read_text().splitlines()[2].split(",")
+    spec = ExperimentSpec(family=FromFile(graph), order=AsGiven(), algo=algo, seeds=[7],
+                          **spec_param)
+    row, _ = run_single(spec, 7)
+    harness_row = rows_to_csv([row]).splitlines()[2].split(",")
+    for i, col in enumerate(CSV_COLUMNS):
+        if col not in ("family", "order", "wall_time_s"):
+            assert cli_row[i] == harness_row[i], col
 
 
 def test_argparse_usage_error(capsys):

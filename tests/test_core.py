@@ -184,6 +184,15 @@ class TestFileFormats:
             read_edge_list(path)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("line", ["0 5", "-1 2", "3 3"])
+    def test_bad_endpoint_carries_line_number(self, tmp_path, line):
+        # out of range for n = 5, negative, and a self-loop
+        path = tmp_path / "bad.el"
+        path.write_text(f"n 5\n0 1\n{line}\n")
+        with pytest.raises(TranscriptParseError) as err:
+            read_edge_list(path)
+        assert err.value.line_no == 3
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.el"
         path.write_text("vertices 5\n")
