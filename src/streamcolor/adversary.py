@@ -188,14 +188,13 @@ class _Driver:
                         rights[k] = self._grow(i, 1, target=j, reserve=t - j)
 
         self.transcript.header = StreamHeader(n=self.colorer.n, m=len(self.stream))
-        distinct = len({colour for _, colour in self.transcript.records})
         return WorstCaseResult(
             header=self.transcript.header,
             edges=self.stream,
             transcript=self.transcript,
             grid_side=t,
             target_colours=s * t * t,
-            distinct_colours=distinct,
+            distinct_colours=self.transcript.distinct_colours(),
         )
 
 

@@ -10,9 +10,16 @@ the transcript is proper for every arrival order.
 If two signatures are identical there is no differing index; such edges get
 globally unique overflow colours instead of crashing.  At the default
 signature width (36 ln n bits) identical signatures essentially never occur.
+
+``feed`` colours one edge; ``feed_many`` colours a whole stream with numpy,
+a block at a time, and announces exactly what ``feed`` would.  ``feed``
+stays the reference the batch path is tested against.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from itertools import islice
 
 from .core import (
     ColourId,
@@ -28,6 +35,8 @@ from .core import (
     validate_endpoints,
 )
 from .rng import MASK64, SplitMix64
+
+_BLOCK = 8192  # edges per numpy block in feed_many; bounds its temporaries
 
 
 def _select_bit(word: int, rank: int) -> int:
@@ -80,6 +89,7 @@ class BipartiteColorer:
         self._choice = stream  # continues the same word sequence
         self._counters: dict[int, int] = {}  # key u*s + i
         self._overflow_serial = 0
+        self._signature_limbs = None  # (n, ceil(s/64)) uint64, built by batch.feed_block
         self.finished = False
 
         # one signature word per node, plus the overflow serial
@@ -134,6 +144,25 @@ class BipartiteColorer:
         self._counters[ku] = cu + 1
         self._counters[kv] = cv + 1
         return [(canonicalize(edge), TripleColour(i, cu, cv))]
+
+    def feed_many(self, edges: Iterable[Edge]) -> list[tuple[Edge, ColourId]]:
+        """Feed ``edges`` in order: the announcements, counters, draws,
+        overflow serials and meter charges are those of calling :meth:`feed`
+        on each edge, computed with numpy a block at a time.  An edge the
+        batch cannot take (an invalid one, or one whose index draw ``below``
+        would reject) goes to :meth:`feed`, so its errors are feed's too."""
+        from .batch import feed_block  # numpy and the kernel load on first use
+
+        records: list[tuple[Edge, ColourId]] = []
+        stream = iter(edges)
+        while block := list(islice(stream, _BLOCK)):
+            start = 0
+            while start < len(block):
+                start += feed_block(self, block, start, records)
+                if start < len(block):
+                    records += self.feed(block[start])
+                    start += 1
+        return records
 
     def finish(self) -> list[tuple[Edge, ColourId]]:
         if self.finished:

@@ -131,12 +131,16 @@ def _cmd_verify(args) -> int:
                     else ""
                 )
             )
-        if all(key[0] == "chunk" for key in report.per_palette_stats) and report.records:
-            conc = chunk_concentration(transcript)
-            print(
-                f"chunk concentration over {conc.num_chunks} chunks: "
-                f"mean d_i(u)/(d(u)/N) = {conc.mean_ratio:.3f}, max = {conc.max_ratio:.3f}"
-            )
+        if report.records and all(key[0] == "chunk" for key in report.per_palette_stats):
+            if len(report.per_palette_stats) >= 2:
+                conc = chunk_concentration(transcript)
+                print(
+                    f"chunk concentration over {conc.num_chunks} chunks: "
+                    f"mean d_i(u)/(d(u)/N) = {conc.mean_ratio:.3f}, max = {conc.max_ratio:.3f}"
+                )
+            else:
+                # one chunk holds every edge, so each ratio is 1 by construction
+                print("chunk concentration: not measured over a single chunk")
         if report.proper:
             print("PROPER")
         else:
@@ -191,23 +195,23 @@ def _cmd_sweep(args) -> int:
     family = parse_family(args.family)
     order = parse_order(args.order)
     seeds = _parse_int_list(args.seeds)
-    params: list[int | None] = [None]
-    if args.algo == "chunk" and args.alpha:
-        params = list(_parse_int_list(args.alpha))
-    if args.algo == "bipartite" and args.s:
-        params = list(_parse_int_list(args.s))
-    rows = []
-    for param in params:
-        spec = ExperimentSpec(
+    alphas = _parse_int_list(args.alpha) if args.alpha else [None]
+    widths = _parse_int_list(args.s) if args.s else [None]
+    # every spec is built, and so checked, before the first run
+    specs = [
+        ExperimentSpec(
             family=family,
             order=order,
             algo=args.algo,
             seeds=seeds,
-            alpha=param if args.algo == "chunk" else None,
-            s=param if args.algo == "bipartite" else None,
+            alpha=alpha,
+            s=s,
             out_dir=Path(args.transcripts) if args.transcripts else None,
         )
-        rows.extend(run_experiment(spec))
+        for alpha in alphas
+        for s in widths
+    ]
+    rows = [row for spec in specs for row in run_experiment(spec)]
     _emit_csv(rows, args.csv)
     bad = [r for r in rows if not r["proper"]]
     return 1 if bad else 0

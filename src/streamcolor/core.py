@@ -180,11 +180,17 @@ def run_stream(colorer, edges: Iterable[Edge], header: StreamHeader) -> Transcri
     """Feed ``edges`` through a colourer and collect its announcements.
 
     A colourer is any object with ``feed(edge) -> list`` and
-    ``finish() -> list`` returning (edge, colour) announcements.
+    ``finish() -> list`` returning (edge, colour) announcements.  One that
+    also has ``feed_many(edges) -> list``, announcing what ``feed`` would on
+    each edge in turn, gets the whole stream through it.
     """
     transcript = Transcript(header=header)
-    for edge in edges:
-        transcript.records.extend(colorer.feed(edge))
+    feed_many = getattr(colorer, "feed_many", None)
+    if feed_many is not None:
+        transcript.records.extend(feed_many(edges))
+    else:
+        for edge in edges:
+            transcript.records.extend(colorer.feed(edge))
     transcript.records.extend(colorer.finish())
     return transcript
 

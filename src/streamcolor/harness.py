@@ -112,6 +112,11 @@ class ExperimentSpec:
             raise ValidationError("s is a bipartite parameter")
         if self.algo == "bipartite" and self.alpha is not None:
             raise ValidationError("alpha is a chunk parameter")
+        if self.algo == "greedy-baseline" and (self.alpha, self.s) != (None, None):
+            raise ValidationError("greedy-baseline takes neither alpha nor s")
+        for name, value in (("alpha", self.alpha), ("s", self.s)):
+            if value is not None and value < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {value}")
 
 
 def _make_colorer(spec: ExperimentSpec, n: int, seed: int):

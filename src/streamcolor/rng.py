@@ -41,6 +41,21 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & MASK64
         return mix64(self._state)
 
+    def peek_words(self, k: int):
+        """The next ``k`` words as a numpy uint64 array, without drawing
+        them; ``skip(k)`` draws them.  numpy is imported here, on first use."""
+        import numpy as np
+
+        steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = steps + np.uint64(self._state)  # uint64 arrays wrap mod 2**64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+    def skip(self, k: int) -> None:
+        """Draw ``k`` words without computing them."""
+        self._state = (self._state + k * _GAMMA) & MASK64
+
     def bits(self, k: int) -> int:
         """A k-bit integer; bit 0 is the least significant bit of the first
         word drawn, bit 64 the least significant bit of the second, and so on."""

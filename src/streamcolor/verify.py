@@ -5,6 +5,11 @@ applies to colourers, not to this test harness.  ``verify`` is the sound and
 complete properness check; ``chunk_concentration`` and ``colour_budget`` are
 the per-algorithm measurements the experiment harness and acceptance suite
 consume.
+
+``verify`` computes its report with numpy; the record-by-record loop it
+replaces stays as ``_verify_scalar``, which decides every transcript the
+columns cannot (conflicts, errors, unusual records) and is the reference
+the numpy path is tested against.
 """
 
 from __future__ import annotations
@@ -62,6 +67,15 @@ def verify(transcript: Transcript) -> VerificationReport:
     A conflict is two records sharing a vertex and a colour; every such pair
     is reported, not just the first.
     """
+    from .batch import verify_columns  # numpy and the kernel load on first use
+
+    report = verify_columns(transcript.records)
+    return report if report is not None else _verify_scalar(transcript)
+
+
+def _verify_scalar(transcript: Transcript) -> VerificationReport:
+    """The record-by-record form of :func:`verify`; it decides every
+    transcript the numpy columns cannot."""
     at_vertex: dict[int, dict[ColourId, list[Edge]]] = {}
     degree: dict[int, int] = {}
     colours: set[ColourId] = set()

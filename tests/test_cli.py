@@ -100,13 +100,41 @@ def test_usage_error_exit_code_two(out_env):
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--seeds", "1,x"],
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "1..x"],
         ["run", "--algo", "chunk", "--graph", "."],  # a directory
+        ["sweep", "--family", "complete:4", "--algo", "chunk", "--s", "5", "--seeds", "0"],
+        ["sweep", "--family", "complete:4", "--algo", "bipartite", "--alpha", "2", "--seeds", "0"],
+        ["sweep", "--family", "complete:4", "--algo", "greedy-baseline", "--s", "5", "--seeds", "0"],
+        ["sweep", "--family", "complete:4", "--algo", "greedy-baseline", "--alpha", "2", "--seeds", "0"],
+        ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "0", "--seeds", "0"],
+        ["sweep", "--family", "complete:4", "--algo", "bipartite", "--s", "0", "--seeds", "0"],
     ],
-    ids=["order-seed", "seed-list", "alpha-range", "graph-directory"],
+    ids=["order-seed", "seed-list", "alpha-range", "graph-directory", "chunk-s",
+         "bipartite-alpha", "greedy-s", "greedy-alpha", "alpha-zero", "s-zero"],
 )
 def test_malformed_value_exits_two(out_env, capsys, argv):
     # exit 1 means a verification failure; bad input is a usage error
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # rejected before any run
+
+
+@pytest.mark.parametrize(
+    "algo, flags, expected",
+    [
+        ("greedy-baseline", [], "chunk concentration: not measured over a single chunk"),
+        ("chunk", ["--alpha", "8"], "chunk concentration: not measured over a single chunk"),
+        ("chunk", ["--alpha", "2"], "chunk concentration over 2 chunks: "),
+    ],
+    ids=["greedy-baseline", "one-chunk", "two-chunks"],
+)
+def test_verify_reports_concentration_only_over_chunks(out_env, capsys, algo, flags, expected):
+    # complete:12 has 66 edges; a chunk holds alpha^2 * 12 of them
+    main(["generate", "--family", "complete:12", "--order", "random", "--seed", "0", "-o", "g.el"])
+    main(["run", "--algo", algo, *flags, "--graph", str(out_env / "g.el"), "-o", "t.tr"])
+    capsys.readouterr()
+    assert main(["verify", str(out_env / "t.tr"), str(out_env / "g.el")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "concentration" in line]
+    assert len(lines) == 1 and lines[0].startswith(expected)
 
 
 @pytest.mark.parametrize(
