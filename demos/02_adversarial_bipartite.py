@@ -31,7 +31,7 @@ for s in (4, 8, 16):
     for order, name in [
         (AsGiven(), "as generated"),
         (UniformRandomPermutation(), "random permutation"),
-        (AdversarialSorted("star-batched"), "star batched"),
+        (AdversarialSorted(), "sorted"),
     ]:
         header, edges = generate(GnpRandom(N, P), order, SEED)
         colorer = BipartiteColorer(N, s, SEED, expose_randomness=True)

@@ -209,12 +209,13 @@ def worst_case_stream(colorer, max_degree: int) -> WorstCaseResult:
     return _Driver(colorer, max_degree).run()
 
 
-def recommended_vertex_count(max_degree: int, s: int, cap: int = 100_000) -> int:
+def recommended_vertex_count(max_degree: int, s: int) -> int:
     """Vertex count to instantiate the target colourer with so that clean
-    signature-class pairs are plentiful at desk scale."""
+    signature-class pairs are plentiful at desk scale: at most 100,000 unless
+    the grid itself needs more."""
     t = max(1, ceil(max_degree / (2 * s)))
     if s < 24:
         want = (1 << s) * 8 * t
     else:
         want = 64 * t * s
-    return max(2 * t * s + 2, min(want, cap))
+    return max(2 * t * s + 2, min(want, 100_000))

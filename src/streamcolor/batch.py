@@ -53,8 +53,8 @@ def _signature_limbs(colorer: BipartiteColorer):
 def feed_block(colorer: BipartiteColorer, block: list, start: int, records: list) -> int:
     """Colour the longest run of ``block[start:]`` that needs no scalar
     step, append its announcements to ``records``, and return its length.
-    Reads and advances ``colorer``'s counters, index draws, overflow serial
-    and meter exactly as ``BipartiteColorer.feed`` would on each edge."""
+    Reads and advances ``colorer``'s counters, index draws and overflow
+    serial exactly as ``BipartiteColorer.feed`` would on each edge."""
     if colorer.finished:
         return 0
     n = colorer.n
@@ -123,8 +123,6 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, records: list
     value = np.empty_like(keys)
     value[order] = np.arange(len(keys)) - np.repeat(first - stored, sizes)
     colorer._counters.update(zip(unique, (stored + sizes).tolist()))
-    if not colorer.strict_meter:
-        colorer.meter.charge(int((stored == 0).sum()))
     colorer._choice.skip(draws)
 
     # tuple.__new__ builds the NamedTuples without a Python-level __new__

@@ -28,7 +28,6 @@ from .core import (
     Edge,
     OverflowColour,
     SpaceMeter,
-    Transcript,
     TripleColour,
     ValidationError,
     canonicalize,
@@ -57,9 +56,8 @@ def _select_bit(word: int, rank: int) -> int:
 class BipartiteColorer:
     """Sequential state machine; announcements are immediate, one per edge.
 
-    ``strict_meter`` charges the worst-case n*s counter words up front, which
-    is the accounting the space-bound analysis assumes; otherwise the meter
-    follows the sparse reality of one word per touched (node, index) pair.
+    The meter charges the worst-case n*s counter words up front, which is the
+    accounting the space-bound analysis assumes.
 
     ``expose_randomness`` grants readers (the worst-case stream construction)
     access to the signature table via :meth:`signature`.
@@ -70,7 +68,6 @@ class BipartiteColorer:
         n: int,
         s: int,
         seed: int,
-        strict_meter: bool = True,
         expose_randomness: bool = False,
     ):
         if n < 1:
@@ -79,8 +76,6 @@ class BipartiteColorer:
             raise ValidationError(f"signature width must be >= 1, got {s}")
         self.n = n
         self.s = s
-        self.seed = seed
-        self.strict_meter = strict_meter
         self._exposed = expose_randomness
         self.meter = SpaceMeter()
 
@@ -92,10 +87,8 @@ class BipartiteColorer:
         self._signature_limbs = None  # (n, ceil(s/64)) uint64, built by batch.feed_block
         self.finished = False
 
-        # one signature word per node, plus the overflow serial
-        self.meter.charge(n + 1)
-        if strict_meter:
-            self.meter.charge(n * s)
+        # one signature word per node, the overflow serial, n*s counters
+        self.meter.charge(n + 1 + n * s)
 
     def signature(self, u: int) -> int:
         """Read node u's signature bits.  Requires expose_randomness."""
@@ -139,18 +132,16 @@ class BipartiteColorer:
         kv = v * self.s + i
         cu = self._counters.get(ku, 0)
         cv = self._counters.get(kv, 0)
-        if not self.strict_meter:
-            self.meter.charge((1 if cu == 0 else 0) + (1 if cv == 0 else 0))
         self._counters[ku] = cu + 1
         self._counters[kv] = cv + 1
         return [(canonicalize(edge), TripleColour(i, cu, cv))]
 
     def feed_many(self, edges: Iterable[Edge]) -> list[tuple[Edge, ColourId]]:
-        """Feed ``edges`` in order: the announcements, counters, draws,
-        overflow serials and meter charges are those of calling :meth:`feed`
-        on each edge, computed with numpy a block at a time.  An edge the
-        batch cannot take (an invalid one, or one whose index draw ``below``
-        would reject) goes to :meth:`feed`, so its errors are feed's too."""
+        """Feed ``edges`` in order: the announcements, counters, draws and
+        overflow serials are those of calling :meth:`feed` on each edge,
+        computed with numpy a block at a time.  An edge the batch cannot take
+        (an invalid one, or one whose index draw ``below`` would reject) goes
+        to :meth:`feed`, so its errors are feed's too."""
         from .batch import feed_block  # numpy and the kernel load on first use
 
         records: list[tuple[Edge, ColourId]] = []
@@ -181,19 +172,3 @@ class BipartiteColorer:
         if not (0 <= i < self.s):
             raise ValidationError(f"index {i} out of range for s={self.s}")
         return (self._signatures[u] >> i) & 1
-
-    def bipartite_subgraph(
-        self, transcript: Transcript, i: int
-    ) -> list[tuple[int, int]]:
-        """Edges of slice B_i from a completed transcript, as (left, right)
-        pairs oriented by bit i."""
-        if not (0 <= i < self.s):
-            raise ValidationError(f"index {i} out of range for s={self.s}")
-        out = []
-        for edge, colour in transcript.records:
-            if isinstance(colour, TripleColour) and colour.index == i:
-                u, v = edge
-                if (self._signatures[u] >> i) & 1:
-                    u, v = v, u
-                out.append((u, v))
-        return out

@@ -88,12 +88,7 @@ class ChunkColorer:
         # duplicates within a chunk would make the induced subgraph a
         # multigraph; colour the simple support, then give repeat occurrences
         # greedy colours from the top of the same palette
-        support: list[Edge] = []
-        seen: set[Edge] = set()
-        for e in chunk:
-            if e not in seen:
-                seen.add(e)
-                support.append(e)
+        support = list(dict.fromkeys(chunk))
 
         # transient workspace: adjacency (2 words/edge) plus one colour word
         # per edge of the support graph

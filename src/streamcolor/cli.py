@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .chunked import ChunkColorer, ChunkConfig
 from .core import (
     TranscriptParseError,
     ValidationError,
-    canonicalize,
     read_edge_list,
     read_transcript,
     write_edge_list,
@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
         colorer = ChunkColorer(ChunkConfig(n=n, alpha=param))
     elif args.algo == "bipartite":
         param = args.s if args.s is not None else default_signature_bits(n)
-        colorer = BipartiteColorer(n, param, seed, strict_meter=not args.sparse_meter)
+        colorer = BipartiteColorer(n, param, seed)
     else:
         colorer, param = GreedyStreamColorer(n), 0
     out = _resolve(args.output, "run.transcript")
@@ -96,10 +96,12 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     transcript = read_transcript(args.transcript)
     report = verify(transcript)
-    graph_header, graph_edges = read_edge_list(args.graph)
-    want = sorted(canonicalize(e) for e in graph_edges)
-    got = sorted(canonicalize(e) for e, _ in transcript.records)
-    complete = want == got
+    _, graph_edges = read_edge_list(args.graph)
+    # both readers reject self-loops, so each pair has one canonical form;
+    # one Counter, less the announced pairs, holds half the memory of two
+    unmatched = Counter((u, v) if u < v else (v, u) for u, v in graph_edges)
+    unmatched.subtract((u, v) if u < v else (v, u) for (u, v), _ in transcript.records)
+    complete = not any(unmatched.values())
 
     if args.csv:
         row = {col: "" for col in CSV_COLUMNS}
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an edge stream file")
     p.add_argument("--family", required=True, help="complete:N | bipartite:A:B | star:T | gnp:N:P | regular:N:D | file:PATH")
-    p.add_argument("--order", default="as-given", help="as-given | random[:seed] | sorted | star-batched")
+    p.add_argument("--order", default="as-given", help="as-given | random[:seed] | sorted")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generate)
@@ -248,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, help="chunk scale (default ceil(log2 n))")
     p.add_argument("--s", type=int, help="signature bits (default ceil(36 ln n))")
     p.add_argument("--seed", type=int, help="colourer seed (default: stream header seed)")
-    p.add_argument("--sparse-meter", action="store_true", help="meter the sparse counter table instead of the worst case")
     p.add_argument("-o", "--output")
     p.add_argument("--csv", help="append the metrics row to this CSV file")
     p.set_defaults(func=_cmd_run)

@@ -200,8 +200,8 @@ def run_stream(colorer, edges: Iterable[Edge], header: StreamHeader) -> Transcri
 #
 # Edge list:   header line `n <n> [m <m>] [seed <seed>]`, then `u v` per line,
 #              stream order = line order; 0 <= u, v < n and u != v.
-# Transcript:  same header line, then `u v <colour>` per line with colour
-#              rendered by format_colour.
+# Transcript:  same header line, then `u v <colour>` per line with the same
+#              endpoint rules and colour rendered by format_colour.
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +278,7 @@ def read_transcript(path: str | Path) -> Transcript:
     if not lines:
         raise TranscriptParseError("empty file", 1)
     header = _parse_header(lines[0], 1)
+    n = header.n
     records: list[tuple[Edge, ColourId]] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -286,9 +287,14 @@ def read_transcript(path: str | Path) -> Transcript:
         if len(tokens) != 3:
             raise TranscriptParseError(f"expected `u v colour`, got {line!r}", line_no)
         try:
-            edge = Edge(int(tokens[0]), int(tokens[1]))
+            u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
+        if u == v:
+            raise TranscriptParseError(f"self-loop ({u},{v})", line_no)
+        if not (0 <= u < n and 0 <= v < n):
+            raise TranscriptParseError(f"edge ({u},{v}) out of range for n={n}", line_no)
+        edge = Edge(u, v)
         try:
             colour = parse_colour(tokens[2])
         except ValidationError as exc:

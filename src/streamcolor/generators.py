@@ -64,7 +64,8 @@ class UniformRandomPermutation:
 
 @dataclass(frozen=True)
 class AdversarialSorted:
-    policy: str = "endpoint"  # "endpoint" or "star-batched"
+    """Canonical edges in lexicographic order, so each vertex's edges to
+    higher vertices arrive together."""
 
 
 ArrivalOrder = Union[AsGiven, UniformRandomPermutation, AdversarialSorted]
@@ -164,18 +165,6 @@ def _family_edges(family: GraphFamily, rng: random.Random) -> tuple[int, list[Ed
     raise ValidationError(f"unknown family {family!r}")
 
 
-def _star_batched(edges: list[Edge]) -> list[Edge]:
-    """All of vertex 0's unemitted edges, then vertex 1's, and so on: the
-    stream arrives as a sequence of stars."""
-    by_vertex: dict[int, list[Edge]] = {}
-    for e in sorted(canonicalize(e) for e in edges):
-        by_vertex.setdefault(e.u, []).append(e)
-    out: list[Edge] = []
-    for v in sorted(by_vertex):
-        out.extend(by_vertex[v])
-    return out
-
-
 def _apply_order(edges: list[Edge], order: ArrivalOrder, seed: int) -> list[Edge]:
     if isinstance(order, AsGiven):
         return list(edges)
@@ -189,11 +178,7 @@ def _apply_order(edges: list[Edge], order: ArrivalOrder, seed: int) -> list[Edge
         random.Random(shuffle_seed).shuffle(out)
         return out
     if isinstance(order, AdversarialSorted):
-        if order.policy == "endpoint":
-            return sorted(canonicalize(e) for e in edges)
-        if order.policy == "star-batched":
-            return _star_batched(edges)
-        raise ValidationError(f"unknown adversarial policy {order.policy!r}")
+        return sorted(canonicalize(e) for e in edges)
     raise ValidationError(f"unknown arrival order {order!r}")
 
 
@@ -238,7 +223,7 @@ def parse_family(text: str) -> GraphFamily:
 
 def parse_order(text: str) -> ArrivalOrder:
     """Parse CLI syntax: ``as-given``, ``random``, ``random:SEED``,
-    ``sorted``, ``star-batched``."""
+    ``sorted``."""
     name, _, rest = text.partition(":")
     if name == "as-given":
         return AsGiven()
@@ -248,9 +233,7 @@ def parse_order(text: str) -> ArrivalOrder:
         except ValueError:
             raise ValidationError(f"bad permutation seed in {text!r}") from None
     if name == "sorted":
-        return AdversarialSorted("endpoint")
-    if name == "star-batched":
-        return AdversarialSorted("star-batched")
+        return AdversarialSorted()
     raise ValidationError(f"unknown arrival order {text!r}")
 
 

@@ -45,9 +45,6 @@ class AdjacencyGraph:
         max_degree = max((len(nbrs) for nbrs in adj), default=0)
         return cls(n=n, edges=canon, adj=adj, max_degree=max_degree)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
 
 def take_free_colour(used_u: set[int], used_v: set[int]) -> int:
     """Smallest colour in neither endpoint's set; it is added to both.  The

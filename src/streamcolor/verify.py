@@ -14,7 +14,7 @@ the numpy path is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     ChunkColour,
@@ -152,7 +152,6 @@ class ConcentrationSummary:
     rows: list[ConcentrationRow]
     max_ratio: float
     mean_ratio: float
-    per_chunk_max_ratio: dict[int, float] = field(default_factory=dict)
 
 
 def chunk_concentration(transcript: Transcript) -> ConcentrationSummary:
@@ -179,20 +178,15 @@ def chunk_concentration(transcript: Transcript) -> ConcentrationSummary:
     num_chunks = len(chunks)
     rows = []
     ratios = []
-    per_chunk_max: dict[int, float] = {}
     for (chunk, vertex), d_i in sorted(chunk_degree.items()):
         expected = full_degree[vertex] / num_chunks
         rows.append(ConcentrationRow(chunk, vertex, d_i, expected))
-        ratio = d_i / expected
-        ratios.append(ratio)
-        if ratio > per_chunk_max.get(chunk, 0.0):
-            per_chunk_max[chunk] = ratio
+        ratios.append(d_i / expected)
     return ConcentrationSummary(
         num_chunks=num_chunks,
         rows=rows,
         max_ratio=max(ratios),
         mean_ratio=sum(ratios) / len(ratios),
-        per_chunk_max_ratio=per_chunk_max,
     )
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_properness_universal():
     orders = [
         UniformRandomPermutation(),
         AsGiven(),
-        AdversarialSorted("star-batched"),
+        AdversarialSorted(),
     ]
     started = time.perf_counter()
     runs = 0
@@ -331,7 +331,7 @@ def test_criterion_7_space_accounting(chunk_sweep, gnp_sweep):
             else:
                 chunk_ok = chunk_ok and r["peak_buffered"] == r["m"]
 
-    # bipartite strict accounting: n signature words + n*s counter words +
+    # bipartite worst-case accounting: n signature words + n*s counter words +
     # the overflow serial, charged up front and never exceeded
     bip_ok = True
     for s, rows in gnp_sweep["per_width"].items():

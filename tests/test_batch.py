@@ -36,7 +36,7 @@ GAMMA, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def state(colorer):
-    """Everything feed changes, for comparing two colourers."""
+    """The state feed_many must leave exactly as feed does."""
     return (
         colorer._counters,
         colorer._choice._state,
@@ -73,13 +73,12 @@ class TestFeedMany:
         stream=streams(),
         s=st.sampled_from(WIDTHS),
         seed=st.integers(0, MASK64),
-        strict=st.booleans(),
         block=st.sampled_from((2, 5, bipartite._BLOCK)),
     )
-    def test_matches_feed(self, stream, s, seed, strict, block):
+    def test_matches_feed(self, stream, s, seed, block):
         n, edges, (a, b) = stream
-        scalar = BipartiteColorer(n, s, seed, strict_meter=strict)
-        batch = BipartiteColorer(n, s, seed, strict_meter=strict)
+        scalar = BipartiteColorer(n, s, seed)
+        batch = BipartiteColorer(n, s, seed)
         want = scalar_records(scalar, edges)
         with patch.object(bipartite, "_BLOCK", block):
             got = batch.feed_many(edges[:a])
@@ -101,10 +100,10 @@ class TestFeedMany:
     def test_invalid_edge_mid_stream(self, bad, error, s):
         edges = [Edge(0, 1), Edge(2, 5), Edge(1, 0), Edge(4, 6)]
         stream = edges + [bad] + edges
-        scalar = BipartiteColorer(7, s, 11, strict_meter=False)
+        scalar = BipartiteColorer(7, s, 11)
         with pytest.raises(error) as scalar_error:
             scalar_records(scalar, stream)
-        batch = BipartiteColorer(7, s, 11, strict_meter=False)
+        batch = BipartiteColorer(7, s, 11)
         with pytest.raises(error) as batch_error:
             batch.feed_many(stream)
         assert str(batch_error.value) == str(scalar_error.value)
@@ -164,7 +163,7 @@ def test_import_and_construction_leave_numpy_unloaded():
     code = (
         "import sys, streamcolor as sc, streamcolor.cli\n"
         "sc.BipartiteColorer(64, 16, 0)\n"
-        "sc.BipartiteColorer(64, 130, 1, strict_meter=False, expose_randomness=True)\n"
+        "sc.BipartiteColorer(64, 130, 1, expose_randomness=True)\n"
         "sc.ChunkColorer(sc.ChunkConfig(n=64, alpha=2))\n"
         "sc.GreedyStreamColorer(64)\n"
         "print('numpy' in sys.modules)\n"

@@ -10,8 +10,6 @@ from streamcolor import (
     Edge,
     GnpRandom,
     OverflowColour,
-    StreamHeader,
-    Transcript,
     TripleColour,
     UniformRandomPermutation,
     ValidationError,
@@ -58,18 +56,10 @@ class TestInitialisation:
         assert sa == [b.signature(u) for u in range(50)]
         assert sa != [c.signature(u) for u in range(50)]
 
-    def test_strict_meter_identity(self):
+    def test_worst_case_meter_identity(self):
         n, s = 37, 5
         colorer = BipartiteColorer(n, s, 0)
         assert colorer.meter.peak_words == n * s + n + 1
-
-    def test_sparse_meter_tracks_touched_counters(self):
-        colorer = BipartiteColorer(10, 4, 3, strict_meter=False)
-        base = colorer.meter.peak_words
-        assert base == 11  # n signature words + overflow serial
-        out = colorer.feed(Edge(0, 1))
-        if isinstance(out[0][1], TripleColour):
-            assert colorer.meter.peak_words == base + 2
 
 
 class TestRandomnessGate:
@@ -242,28 +232,6 @@ class TestStreamInvariants:
         assert sorted(e for e, _ in transcript.records) == sorted(
             canonicalize(e) for e in edges
         )
-
-
-class TestBipartiteSubgraph:
-    def test_unused_slice_is_empty(self):
-        colorer = BipartiteColorer(4, 64, 0)
-        transcript = run_stream(colorer, [Edge(0, 1)], StreamHeader(4))
-        used = {c.index for _, c in transcript.records if isinstance(c, TripleColour)}
-        empty = next(i for i in range(64) if i not in used)
-        assert colorer.bipartite_subgraph(transcript, empty) == []
-
-    def test_edges_cross_the_partition(self):
-        colorer, transcript, _ = run_gnp(64, 0.2, 6, 4)
-        for i in range(6):
-            for left, right in colorer.bipartite_subgraph(transcript, i):
-                assert colorer.bit(left, i) == 0
-                assert colorer.bit(right, i) == 1
-
-    def test_slice_index_validated(self):
-        colorer = BipartiteColorer(4, 4, 0)
-        transcript = Transcript(header=StreamHeader(4))
-        with pytest.raises(ValidationError):
-            colorer.bipartite_subgraph(transcript, 4)
 
 
 class TestSliceDegreeSpread:

@@ -106,11 +106,17 @@ def test_usage_error_exit_code_two(out_env):
         ["sweep", "--family", "complete:4", "--algo", "greedy-baseline", "--alpha", "2", "--seeds", "0"],
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "0", "--seeds", "0"],
         ["sweep", "--family", "complete:4", "--algo", "bipartite", "--s", "0", "--seeds", "0"],
+        ["verify", "{out}/bad.tr", "{out}/g.el"],
     ],
     ids=["order-seed", "seed-list", "alpha-range", "graph-directory", "chunk-s",
-         "bipartite-alpha", "greedy-s", "greedy-alpha", "alpha-zero", "s-zero"],
+         "bipartite-alpha", "greedy-s", "greedy-alpha", "alpha-zero", "s-zero",
+         "transcript-endpoint"],
 )
 def test_malformed_value_exits_two(out_env, capsys, argv):
+    # vertices 7 and 9 are out of range for the 4-vertex graph
+    (out_env / "g.el").write_text("n 4\n0 1\n")
+    (out_env / "bad.tr").write_text("n 4\n7 9 c:0:0\n")
+    argv = [arg.format(out=out_env) for arg in argv]
     # exit 1 means a verification failure; bad input is a usage error
     assert main(argv) == 2
     captured = capsys.readouterr()

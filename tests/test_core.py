@@ -186,12 +186,14 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("line", ["0 5", "-1 2", "3 3"])
     def test_bad_endpoint_carries_line_number(self, tmp_path, line):
-        # out of range for n = 5, negative, and a self-loop
-        path = tmp_path / "bad.el"
-        path.write_text(f"n 5\n0 1\n{line}\n")
-        with pytest.raises(TranscriptParseError) as err:
-            read_edge_list(path)
-        assert err.value.line_no == 3
+        # out of range for n = 5, negative, and a self-loop, in either format
+        edges, transcript = tmp_path / "bad.el", tmp_path / "bad.tr"
+        edges.write_text(f"n 5\n0 1\n{line}\n")
+        transcript.write_text(f"n 5\n0 1 c:0:0\n{line} c:0:1\n")
+        for reader, path in [(read_edge_list, edges), (read_transcript, transcript)]:
+            with pytest.raises(TranscriptParseError) as err:
+                reader(path)
+            assert err.value.line_no == 3
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.el"

@@ -117,18 +117,12 @@ class TestOrders:
         assert a == b
 
     def test_sorted_policy(self):
-        _, edges = generate(CompleteGraph(5), AdversarialSorted("endpoint"), 0)
+        _, edges = generate(CompleteGraph(5), AdversarialSorted(), 0)
         assert edges == sorted(edges)
-
-    def test_star_batched_groups_by_vertex(self):
-        _, edges = generate(CompleteGraph(5), AdversarialSorted("star-batched"), 0)
-        # first batch: all edges at vertex 0, then all remaining at 1, ...
+        # the stream arrives as a sequence of stars: all edges at vertex 0,
+        # then all remaining at 1, ...
         firsts = [e.u for e in edges]
         assert firsts == sorted(firsts)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValidationError):
-            generate(CompleteGraph(4), AdversarialSorted("zigzag"), 0)
 
     def test_permutation_marginals_are_uniform(self):
         # fixed edge of K4 (m = 6): over many seeds, each position is hit
@@ -164,10 +158,10 @@ class TestParsers:
         assert parse_order("as-given") == AsGiven()
         assert parse_order("random") == UniformRandomPermutation()
         assert parse_order("random:7") == UniformRandomPermutation(7)
-        assert parse_order("sorted") == AdversarialSorted("endpoint")
-        assert parse_order("star-batched") == AdversarialSorted("star-batched")
-        with pytest.raises(ValidationError):
-            parse_order("sideways")
+        assert parse_order("sorted") == AdversarialSorted()
+        for bad in ("sideways", "star-batched"):
+            with pytest.raises(ValidationError):
+                parse_order(bad)
 
 
 class TestDefaults:
