@@ -27,7 +27,7 @@ SEEDS = range(5)
 
 print(f"complete graph on {N} vertices, uniformly random edge order")
 print(f"{'alpha':>5} {'chunks':>6} {'colours':>8} {'colours/maxdeg':>14} "
-      f"{'mean d_i(u)/(d(u)/N)':>21} {'peak buffered':>13}")
+      f"{'mean d_i(u)/(d(u)*|chunk_i|/m)':>31} {'peak buffered':>13}")
 
 for alpha in (2, 4, 8, 16):
     colours = []
@@ -48,7 +48,7 @@ for alpha in (2, 4, 8, 16):
     mean_colours = sum(colours) / len(colours)
     delta = N - 1
     print(f"{alpha:>5} {chunks:>6} {mean_colours:>8.1f} {mean_colours/delta:>14.3f} "
-          f"{sum(ratios)/len(ratios):>21.3f} {max(peaks):>13}")
+          f"{sum(ratios)/len(ratios):>31.3f} {max(peaks):>13}")
 
 print()
 header, edges = generate(CompleteGraph(N), UniformRandomPermutation(), 0)

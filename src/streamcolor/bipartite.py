@@ -30,8 +30,7 @@ from .core import (
     SpaceMeter,
     TripleColour,
     ValidationError,
-    canonicalize,
-    validate_endpoints,
+    checked_edge,
 )
 from .rng import MASK64, SplitMix64
 
@@ -100,31 +99,16 @@ class BipartiteColorer:
             raise ValidationError(f"vertex {u} out of range for n={self.n}")
         return self._signatures[u]
 
-    def differing_indices(self, u: int, v: int) -> list[int]:
-        """All positions where u's and v's signatures differ.  Requires
-        expose_randomness."""
-        if not self._exposed:
-            raise ConfigurationError(
-                "signature access requires expose_randomness=True"
-            )
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValidationError(f"vertex pair ({u},{v}) out of range for n={self.n}")
-        diff = self._signatures[u] ^ self._signatures[v]
-        return [i for i in range(self.s) if (diff >> i) & 1]
-
     def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
         if self.finished:
             raise ContractViolation("feed after finish")
-        validate_endpoints(edge, self.n)
-        u, v = edge
-        if u == v:
-            raise ValidationError(f"self-loop ({u},{v}) is not a valid edge")
+        u, v = edge = checked_edge(edge, self.n)
         diff = self._signatures[u] ^ self._signatures[v]
         count = diff.bit_count()
         if count == 0:
             colour: ColourId = OverflowColour(self._overflow_serial)
             self._overflow_serial += 1
-            return [(canonicalize(edge), colour)]
+            return [(edge, colour)]
         i = _select_bit(diff, self._choice.below(count))
         if (self._signatures[u] >> i) & 1:
             u, v = v, u  # left endpoint carries bit i = 0
@@ -134,7 +118,7 @@ class BipartiteColorer:
         cv = self._counters.get(kv, 0)
         self._counters[ku] = cu + 1
         self._counters[kv] = cv + 1
-        return [(canonicalize(edge), TripleColour(i, cu, cv))]
+        return [(edge, TripleColour(i, cu, cv))]
 
     def feed_many(self, edges: Iterable[Edge]) -> list[tuple[Edge, ColourId]]:
         """Feed ``edges`` in order: the announcements, counters, draws and

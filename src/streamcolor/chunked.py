@@ -20,8 +20,7 @@ from .core import (
     Edge,
     SpaceMeter,
     ValidationError,
-    canonicalize,
-    validate_endpoints,
+    checked_edge,
 )
 from .offline import AdjacencyGraph, color_vizing, take_free_colour
 
@@ -64,9 +63,7 @@ class ChunkColorer:
     def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
         if self.finished:
             raise ContractViolation("feed after finish")
-        validate_endpoints(edge, self.config.n)
-        e = canonicalize(edge)
-        self._buffer.append(e)
+        self._buffer.append(checked_edge(edge, self.config.n))
         self.meter.charge(2)  # two endpoint words per buffered edge
         if len(self._buffer) > self.peak_buffered_edges:
             self.peak_buffered_edges = len(self._buffer)

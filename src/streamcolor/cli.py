@@ -138,7 +138,7 @@ def _cmd_verify(args) -> int:
                 conc = chunk_concentration(transcript)
                 print(
                     f"chunk concentration over {conc.num_chunks} chunks: "
-                    f"mean d_i(u)/(d(u)/N) = {conc.mean_ratio:.3f}, max = {conc.max_ratio:.3f}"
+                    f"mean d_i(u)/(d(u)*|chunk_i|/m) = {conc.mean_ratio:.3f}, max = {conc.max_ratio:.3f}"
                 )
             else:
                 # one chunk holds every edge, so each ratio is 1 by construction

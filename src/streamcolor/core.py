@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 
 class ValidationError(ValueError):
@@ -63,9 +63,15 @@ def canonicalize(edge: Edge) -> Edge:
     return Edge(u, v) if u < v else Edge(v, u)
 
 
-def validate_endpoints(edge: Edge, n: int) -> None:
-    if not (0 <= edge.u < n and 0 <= edge.v < n):
-        raise ValidationError(f"edge ({edge.u},{edge.v}) out of range for n={n}")
+def checked_edge(edge: Edge, n: int) -> Edge:
+    """The one check a colourer makes of a fed edge: both endpoints in
+    0..n-1 and distinct.  Returns the edge with the smaller endpoint first."""
+    u, v = edge.u, edge.v
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise ValidationError(f"self-loop ({u},{v}) is not a valid edge")
+    return edge if u < v else Edge(v, u)
 
 
 # The three variants have distinct arities, so tuple equality can never hold
@@ -239,30 +245,43 @@ def write_edge_list(path: str | Path, header: StreamHeader, edges: Iterable[Edge
             fh.write(f"{u} {v}\n")
 
 
-def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
+def _parse_lines(
+    path: str | Path, shape: str
+) -> tuple[StreamHeader, Iterator[tuple[int, Edge, list[str]]]]:
+    """Read a stream or transcript file: its header, then ``(line_no, edge,
+    tokens)`` for each non-blank line, which must hold the tokens ``shape``
+    names (``u v`` or ``u v colour``) and a valid edge."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise TranscriptParseError("empty file", 1)
     header = _parse_header(lines[0], 1)
     n = header.n
-    edges = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise TranscriptParseError(f"expected `u v`, got {line!r}", line_no)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
-        if u == v:
-            raise TranscriptParseError(f"self-loop ({u},{v})", line_no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise TranscriptParseError(f"edge ({u},{v}) out of range for n={n}", line_no)
-        edges.append(Edge(u, v))
-    return header, edges
+    width = len(shape.split())
+
+    def records():
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            tokens = line.split()
+            if len(tokens) != width:
+                raise TranscriptParseError(f"expected `{shape}`, got {line!r}", line_no)
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
+            if u == v:
+                raise TranscriptParseError(f"self-loop ({u},{v})", line_no)
+            if not (0 <= u < n and 0 <= v < n):
+                raise TranscriptParseError(f"edge ({u},{v}) out of range for n={n}", line_no)
+            yield line_no, Edge(u, v), tokens
+
+    return header, records()
+
+
+def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
+    header, lines = _parse_lines(path, "u v")
+    return header, [edge for _, edge, _ in lines]
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
@@ -273,28 +292,9 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TranscriptParseError("empty file", 1)
-    header = _parse_header(lines[0], 1)
-    n = header.n
+    header, lines = _parse_lines(path, "u v colour")
     records: list[tuple[Edge, ColourId]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise TranscriptParseError(f"expected `u v colour`, got {line!r}", line_no)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
-        if u == v:
-            raise TranscriptParseError(f"self-loop ({u},{v})", line_no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise TranscriptParseError(f"edge ({u},{v}) out of range for n={n}", line_no)
-        edge = Edge(u, v)
+    for line_no, edge, tokens in lines:
         try:
             colour = parse_colour(tokens[2])
         except ValidationError as exc:

@@ -225,14 +225,14 @@ def parse_order(text: str) -> ArrivalOrder:
     """Parse CLI syntax: ``as-given``, ``random``, ``random:SEED``,
     ``sorted``."""
     name, _, rest = text.partition(":")
-    if name == "as-given":
-        return AsGiven()
     if name == "random":
         try:
             return UniformRandomPermutation(int(rest) if rest else None)
         except ValueError:
             raise ValidationError(f"bad permutation seed in {text!r}") from None
-    if name == "sorted":
+    if text == "as-given":
+        return AsGiven()
+    if text == "sorted":
         return AdversarialSorted()
     raise ValidationError(f"unknown arrival order {text!r}")
 

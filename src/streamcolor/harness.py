@@ -25,9 +25,8 @@ from .core import (
     StreamHeader,
     Transcript,
     ValidationError,
-    canonicalize,
+    checked_edge,
     run_stream,
-    validate_endpoints,
     write_transcript,
 )
 from .generators import (
@@ -80,8 +79,7 @@ class GreedyStreamColorer:
     def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
         if self.finished:
             raise ContractViolation("feed after finish")
-        validate_endpoints(edge, self.n)
-        e = canonicalize(edge)
+        e = checked_edge(edge, self.n)
         c = take_free_colour(self._used[e.u], self._used[e.v])
         self.meter.charge(2)  # one colour word per endpoint set
         return [(e, ChunkColour(0, c))]

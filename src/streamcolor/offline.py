@@ -17,33 +17,29 @@ from .core import Edge, ValidationError, canonicalize
 
 @dataclass
 class AdjacencyGraph:
-    """Static adjacency view of a simple undirected graph on vertices
-    0..n-1.  ``adj[v]`` lists (neighbour, edge slot) pairs; slots index into
-    ``edges``."""
+    """A simple undirected graph on vertices 0..n-1: its edges, each with
+    the smaller endpoint first, in the order given."""
 
     n: int
     edges: list[Edge]
-    adj: list[list[tuple[int, int]]]
     max_degree: int
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AdjacencyGraph":
         canon = []
         seen = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        degree = [0] * n
         for edge in edges:
-            e = canonicalize(Edge(*edge))
+            e = canonicalize(edge)
             if e.v >= n:
                 raise ValidationError(f"edge {e} out of range for n={n}")
             if e in seen:
                 raise ValidationError(f"duplicate edge {e}")
             seen.add(e)
-            slot = len(canon)
             canon.append(e)
-            adj[e.u].append((e.v, slot))
-            adj[e.v].append((e.u, slot))
-        max_degree = max((len(nbrs) for nbrs in adj), default=0)
-        return cls(n=n, edges=canon, adj=adj, max_degree=max_degree)
+            degree[e.u] += 1
+            degree[e.v] += 1
+        return cls(n=n, edges=canon, max_degree=max(degree, default=0))
 
 
 def take_free_colour(used_u: set[int], used_v: set[int]) -> int:
@@ -88,21 +84,21 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
     # at[x][c] = neighbour across the c-coloured edge at x
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]
     free: list[set[int]] = [set(range(K)) for _ in range(g.n)]
-    colour_of: dict[Edge, int] = {}
+    colour_of: dict[tuple[int, int], int] = {}  # keyed by (smaller, larger) endpoint
 
     def assign(x: int, y: int, c: int) -> None:
         at[x][c] = y
         at[y][c] = x
         free[x].discard(c)
         free[y].discard(c)
-        colour_of[canonicalize(Edge(x, y))] = c
+        colour_of[(x, y) if x < y else (y, x)] = c
 
     def unassign(x: int, y: int, c: int) -> None:
         del at[x][c]
         del at[y][c]
         free[x].add(c)
         free[y].add(c)
-        del colour_of[canonicalize(Edge(x, y))]
+        del colour_of[(x, y) if x < y else (y, x)]
 
     def invert_path(u: int, c: int, d: int) -> None:
         # c is free at u, so the c/d component containing u is a path with u
@@ -150,7 +146,7 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
         w_idx = None
         for j, fj in enumerate(fan):
             if j > 0:
-                prev_edge_colour = colour_of[canonicalize(Edge(u, fj))]
+                prev_edge_colour = colour_of[(u, fj) if u < fj else (fj, u)]
                 if prev_edge_colour not in free[fan[j - 1]]:
                     break
             if d in free[fj]:
@@ -161,14 +157,14 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
                 f"fan repair failed at edge {edge}; colouring invariant broken"
             )
 
-        shifted = [colour_of[canonicalize(Edge(u, fan[q + 1]))] for q in range(w_idx)]
+        shifted = [colour_of[(u, w) if u < w else (w, u)] for w in fan[1 : w_idx + 1]]
         for q in range(w_idx):
             unassign(u, fan[q + 1], shifted[q])
         for q in range(w_idx):
             assign(u, fan[q], shifted[q])
         assign(u, fan[w_idx], d)
 
-    return colour_of
+    return {edge: colour_of[edge] for edge in g.edges}
 
 
 _BRUTEFORCE_EDGE_LIMIT = 12

@@ -135,8 +135,9 @@ class TestFeedMany:
         n, s = 12, 16
         scalar = BipartiteColorer(n, s, 5, expose_randomness=True)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        odd = [p for p in pairs if len(scalar.differing_indices(*p)) not in (0, 1, 2, 4, 8, 16)]
-        drawing = [p for p in pairs if scalar.differing_indices(*p)]
+        bits = {(u, v): (scalar.signature(u) ^ scalar.signature(v)).bit_count() for u, v in pairs}
+        odd = [p for p in pairs if bits[p] not in (0, 1, 2, 4, 8, 16)]
+        drawing = [p for p in pairs if bits[p]]
         edges = [Edge(*p) for p in (drawing[0], drawing[1], odd[0], drawing[2], odd[1])]
 
         batch = BipartiteColorer(n, s, 5)

@@ -35,12 +35,12 @@ class TestInitialisation:
     def test_single_differing_bit(self):
         seed = find_seed_with_signatures(2, 1, lambda s: s[0] != s[1])
         colorer = BipartiteColorer(2, 1, seed, expose_randomness=True)
-        assert colorer.differing_indices(0, 1) == [0]
+        assert colorer.signature(0) ^ colorer.signature(1) == 0b1
 
     def test_equal_signatures_have_empty_differing_set(self):
         seed = find_seed_with_signatures(2, 2, lambda s: s[0] == s[1])
         colorer = BipartiteColorer(2, 2, seed, expose_randomness=True)
-        assert colorer.differing_indices(0, 1) == []
+        assert colorer.signature(0) ^ colorer.signature(1) == 0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -67,8 +67,6 @@ class TestRandomnessGate:
         colorer = BipartiteColorer(4, 4, 0)
         with pytest.raises(ConfigurationError):
             colorer.signature(0)
-        with pytest.raises(ConfigurationError):
-            colorer.differing_indices(0, 1)
 
     def test_exposed_colorer_serves_reads(self):
         colorer = BipartiteColorer(4, 4, 0, expose_randomness=True)

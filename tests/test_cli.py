@@ -1,8 +1,14 @@
-import pytest
+import tempfile
+from collections import Counter
+from pathlib import Path
 
-from streamcolor import AsGiven, ExperimentSpec, FromFile, run_single
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamcolor import AsGiven, Edge, ExperimentSpec, FromFile, StreamHeader, run_single
 from streamcolor.cli import main
-from streamcolor.core import read_edge_list, read_transcript
+from streamcolor.core import read_edge_list, read_transcript, write_edge_list
 from streamcolor.harness import CSV_COLUMNS, rows_to_csv
 
 
@@ -97,6 +103,8 @@ def test_usage_error_exit_code_two(out_env):
     "argv",
     [
         ["generate", "--family", "complete:4", "--order", "random:x"],
+        ["generate", "--family", "complete:4", "--order", "sorted:junk"],
+        ["generate", "--family", "complete:4", "--order", "as-given:zzz"],
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--seeds", "1,x"],
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "1..x"],
         ["run", "--algo", "chunk", "--graph", "."],  # a directory
@@ -108,9 +116,9 @@ def test_usage_error_exit_code_two(out_env):
         ["sweep", "--family", "complete:4", "--algo", "bipartite", "--s", "0", "--seeds", "0"],
         ["verify", "{out}/bad.tr", "{out}/g.el"],
     ],
-    ids=["order-seed", "seed-list", "alpha-range", "graph-directory", "chunk-s",
-         "bipartite-alpha", "greedy-s", "greedy-alpha", "alpha-zero", "s-zero",
-         "transcript-endpoint"],
+    ids=["order-seed", "sorted-junk", "as-given-junk", "seed-list", "alpha-range",
+         "graph-directory", "chunk-s", "bipartite-alpha", "greedy-s", "greedy-alpha",
+         "alpha-zero", "s-zero", "transcript-endpoint"],
 )
 def test_malformed_value_exits_two(out_env, capsys, argv):
     # vertices 7 and 9 are out of range for the 4-vertex graph
@@ -167,6 +175,28 @@ def test_run_row_matches_harness_row(out_env, algo, flags, spec_param):
     for i, col in enumerate(CSV_COLUMNS):
         if col not in ("family", "order", "wall_time_s"):
             assert cli_row[i] == harness_row[i], col
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_run_and_verify_streams_with_repeated_edges(data):
+    # a small vertex count makes repeats, in either orientation, common;
+    # one repeat is always appended
+    n = data.draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in data.draw(st.lists(pair, min_size=1, max_size=40))]
+    u, v = data.draw(st.sampled_from(edges))
+    edges.append(Edge(v, u))
+    alpha = data.draw(st.sampled_from(["1", "2"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, out = Path(tmp) / "g.el", Path(tmp) / "t.tr"
+        write_edge_list(graph, StreamHeader(n), edges)
+        assert main(["run", "--algo", "chunk", "--alpha", alpha, "--graph", str(graph),
+                     "-o", str(out)]) == 0
+        assert main(["verify", str(out), str(graph)]) == 0
+        announced = [tuple(edge) for edge, _ in read_transcript(out).records]
+    assert Counter(announced) == Counter(tuple(sorted(e)) for e in edges)
 
 
 def test_argparse_usage_error(capsys):

@@ -184,16 +184,40 @@ class TestFileFormats:
             read_edge_list(path)
         assert err.value.line_no == 3
 
-    @pytest.mark.parametrize("line", ["0 5", "-1 2", "3 3"])
-    def test_bad_endpoint_carries_line_number(self, tmp_path, line):
-        # out of range for n = 5, negative, and a self-loop, in either format
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 5", "edge (0,5) out of range for n=5"),
+            ("-1 2", "edge (-1,2) out of range for n=5"),
+            ("3 3", "self-loop (3,3)"),
+            ("0 x", "non-integer endpoint in {text!r}"),
+            ("0 1 2", "expected `{shape}`, got {text!r}"),
+            ("4", "expected `{shape}`, got {text!r}"),
+        ],
+        ids=["0 5", "-1 2", "3 3", "non-integer", "extra-token", "missing-token"],
+    )
+    def test_bad_endpoint_carries_line_number(self, tmp_path, line, message):
+        # the same message and line number from both readers; the blank line
+        # is skipped but still counted
         edges, transcript = tmp_path / "bad.el", tmp_path / "bad.tr"
-        edges.write_text(f"n 5\n0 1\n{line}\n")
-        transcript.write_text(f"n 5\n0 1 c:0:0\n{line} c:0:1\n")
-        for reader, path in [(read_edge_list, edges), (read_transcript, transcript)]:
+        edges.write_text(f"n 5\n0 1\n\n{line}\n")
+        transcript.write_text(f"n 5\n0 1 c:0:0\n\n{line} c:0:1\n")
+        for reader, path, shape, text in [
+            (read_edge_list, edges, "u v", line),
+            (read_transcript, transcript, "u v colour", f"{line} c:0:1"),
+        ]:
             with pytest.raises(TranscriptParseError) as err:
                 reader(path)
-            assert err.value.line_no == 3
+            assert err.value.line_no == 4
+            assert str(err.value) == "line 4: " + message.format(shape=shape, text=text)
+
+    @pytest.mark.parametrize("reader", [read_edge_list, read_transcript])
+    def test_empty_file_rejected(self, tmp_path, reader):
+        path = tmp_path / "empty"
+        path.write_text("")
+        with pytest.raises(TranscriptParseError) as err:
+            reader(path)
+        assert (err.value.line_no, str(err.value)) == (1, "line 1: empty file")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.el"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from streamcolor import (
     AdjacencyGraph,
+    CompleteGraph,
     Edge,
+    UniformRandomPermutation,
     ValidationError,
     chromatic_index_bruteforce,
     color_greedy,
     color_vizing,
     colours_used,
+    generate,
     is_k_edge_colourable,
     is_proper,
 )
@@ -41,10 +45,9 @@ class TestAdjacencyGraph:
             graph(3, [(0, 3)])
 
     def test_degree_and_max_degree(self):
-        g = graph(4, [(0, 1), (0, 2), (0, 3)])
+        g = graph(4, [(1, 0), (0, 2), (3, 0)])
         assert g.max_degree == 3
-        assert len(g.adj[0]) == 3
-        assert len(g.adj[2]) == 1
+        assert g.edges == [Edge(0, 1), Edge(0, 2), Edge(0, 3)]
 
 
 class TestVizing:
@@ -82,6 +85,33 @@ class TestVizing:
 
     def test_empty_graph(self):
         assert color_vizing(graph(3, [])) == {}
+
+    @pytest.mark.parametrize(
+        "n, edges, pinned",
+        [
+            # 5 edges need the fan repair
+            (9, list(itertools.combinations(range(9), 2)),
+             "0,1,2,3,4,5,8,7,2,1,4,3,6,5,8,8,5,0,7,3,6,7,5,4,6,0,6,2,0,1,8,7,2,1,3,4"),
+            # 50 edges need the fan repair; pinned by the sha256 of the colour list
+            (64, generate(CompleteGraph(64), UniformRandomPermutation(), 0)[1],
+             "51682cdee41506f72bfbf1f830c25460734f2827bd6b97258c4fcbe057b03c7f"),
+            # no repair in this order
+            (10, PETERSEN, "0,1,0,1,2,1,2,2,2,0,0,0,1,3,3"),
+            # one repair in this order (PETERSEN shuffled by random.Random(13))
+            (10, [(2, 7), (3, 8), (0, 1), (8, 5), (1, 2), (1, 6), (0, 5), (4, 9),
+                  (6, 8), (3, 4), (2, 3), (7, 9), (5, 7), (9, 6), (4, 0)],
+             "0,0,2,1,1,0,0,0,3,1,2,1,3,2,3"),
+        ],
+        ids=["K9", "K64-random-0", "petersen", "petersen-shuffled-13"],
+    )
+    def test_pinned_colourings(self, n, edges, pinned):
+        # exact output in stored edge order; a change to any tie-break or to
+        # the fan repair shows here
+        g = graph(n, edges)
+        col = color_vizing(g)
+        assert list(col) == g.edges
+        text = ",".join(str(col[e]) for e in g.edges)
+        assert pinned in (text, hashlib.sha256(text.encode()).hexdigest())
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

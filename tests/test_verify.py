@@ -121,8 +121,12 @@ class TestChunkConcentration:
         transcript = run_stream(colorer, edges, StreamHeader(4))
         summary = chunk_concentration(transcript)
         assert summary.num_chunks == 2
-        for row in summary.rows:
-            assert row.chunk_degree >= 1
+        # the last chunk is partial, 2 of 6 edges: each vertex has degree 2 in
+        # the full chunk and 1 in the partial one, its share 3 * |chunk| / 6
+        assert [(r.chunk, r.chunk_degree, r.expected) for r in summary.rows] == (
+            [(0, 2, 2.0)] * 4 + [(1, 1, 1.0)] * 4
+        )
+        assert summary.max_ratio == summary.mean_ratio == 1.0
 
     def test_wrong_algorithm_rejected(self):
         t = transcript_of([(Edge(0, 1), TripleColour(0, 0, 0))])
@@ -154,6 +158,17 @@ class TestColourBudget:
         report = verify(transcript)
         budget = colour_budget(report, "chunk")
         assert budget.bound == report.max_degree + 1
+        assert budget.passed
+
+    def test_chunk_with_repeated_edges_within_budget(self):
+        # every triangle edge twice: all six records meet, so six colours
+        # are needed where max degree + 1 = 5
+        colorer = ChunkColorer(ChunkConfig(n=3, alpha=2))
+        edges = [Edge(0, 1), Edge(0, 2), Edge(0, 2), Edge(1, 2), Edge(1, 2), Edge(1, 0)]
+        report = verify(run_stream(colorer, edges, StreamHeader(3)))
+        assert report.proper and report.distinct_colours == 6
+        budget = colour_budget(report, "chunk")
+        assert budget.bound == 7
         assert budget.passed
 
     def test_mismatched_algo_rejected(self):
