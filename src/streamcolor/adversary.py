@@ -103,6 +103,7 @@ class _Driver:
         self.emitted: set[Edge] = set()
         self.stream: list[Edge] = []
         self.transcript = Transcript(header=StreamHeader(n=colorer.n))
+        self.announced: list = []  # records not yet in the transcript
 
     def _sig(self, u: int) -> int:
         return self.colorer.signature(u)
@@ -118,7 +119,7 @@ class _Driver:
         self.degree[x] = self.degree.get(x, 0) + 1
         self.degree[y] = self.degree.get(y, 0) + 1
         announcements = self.colorer.feed(edge)
-        self.transcript.records.extend(announcements)
+        self.announced += announcements
         colour = announcements[0][1]
         if not isinstance(colour, TripleColour):
             raise AssertionError(f"expected a triple colour, got {colour}")
@@ -186,6 +187,10 @@ class _Driver:
                         # missed slice: the pair is spent, bring in a fresh
                         # column vertex at the counter the column expects
                         rights[k] = self._grow(i, 1, target=j, reserve=t - j)
+            # one extend per slice: the batch of records is large enough
+            # for the columns' bulk path, and its tuples are freed
+            self.transcript.extend(self.announced)
+            self.announced.clear()
 
         self.transcript.header = StreamHeader(n=self.colorer.n, m=len(self.stream))
         return WorstCaseResult(

@@ -1,24 +1,25 @@
-"""numpy batch kernels behind ``BipartiteColorer.feed_many`` and
-``verify``.
+"""numpy batch kernels behind ``BipartiteColorer.feed_many``, ``verify``,
+``check_bipartition``, ``chunk_concentration`` and ``streamcolor verify``'s
+edge check.
 
-Each kernel computes exactly what its scalar twin computes, on integer
-columns, and declines what it cannot hold: ``feed_block`` stops before an
-edge that ``BipartiteColorer.feed`` must take, and ``verify_columns``
-returns None for a transcript that ``verify``'s record-by-record loop must
-decide.  This module is the only one that imports numpy at load time;
-``feed_many`` and ``verify`` import it on first use, so ``import
-streamcolor`` and building a colourer load neither it nor numpy.
+Each kernel computes exactly what its scalar twin computes, on a
+transcript's int64 columns, and declines what it cannot hold:
+``feed_block`` stops before an edge that ``BipartiteColorer.feed`` must
+take, and ``verify_columns`` returns None for a transcript that
+``verify``'s record-by-record loop must decide.  This module is the only
+one that imports numpy at load time; its callers import it on first use,
+so ``import streamcolor`` and building a colourer load neither it nor
+numpy.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ChunkColour, Edge, OverflowColour, TripleColour
-from .rng import MASK64
+from .core import Edge, Transcript, WrongAlgorithmError, canonicalize
 from .verify import PaletteKey, PaletteStats, VerificationReport
 
 if TYPE_CHECKING:
@@ -38,23 +39,28 @@ def _byte_select_table():
 _BYTE_SELECT = _byte_select_table()
 
 
+def _columns(transcript: Transcript) -> list:
+    """The transcript's six columns as int64 arrays sharing its memory; the
+    transcript cannot grow while they live."""
+    return [np.frombuffer(column, dtype=np.int64) for column in transcript.columns]
+
+
 def _signature_limbs(colorer: BipartiteColorer):
     """The colourer's signature table as an (n, ceil(s/64)) uint64 array,
     limb j of a row holding bits 64j..64j+63; built once per colourer."""
     if colorer._signature_limbs is None:
-        width = -(-colorer.s // 64)
-        colorer._signature_limbs = np.array(
-            [[(sig >> (64 * j)) & MASK64 for j in range(width)] for sig in colorer._signatures],
-            dtype=np.uint64,
-        )
+        size = 8 * -(-colorer.s // 64)
+        raw = b"".join(sig.to_bytes(size, "little") for sig in colorer._signatures)
+        colorer._signature_limbs = np.frombuffer(raw, dtype="<u8").reshape(colorer.n, -1)
     return colorer._signature_limbs
 
 
-def feed_block(colorer: BipartiteColorer, block: list, start: int, records: list) -> int:
+def feed_block(colorer: BipartiteColorer, block: list, start: int, out: Transcript) -> int:
     """Colour the longest run of ``block[start:]`` that needs no scalar
-    step, append its announcements to ``records``, and return its length.
-    Reads and advances ``colorer``'s counters, index draws and overflow
-    serial exactly as ``BipartiteColorer.feed`` would on each edge."""
+    step, append its announcements to ``out``'s columns, and return its
+    length.  Reads and advances ``colorer``'s counters, index draws and
+    overflow serial exactly as ``BipartiteColorer.feed`` would on each
+    edge."""
     if colorer.finished:
         return 0
     n = colorer.n
@@ -117,32 +123,28 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, records: list
     ordered = keys[order]
     first = np.flatnonzero(np.diff(ordered, prepend=-1))  # keys are >= 0
     sizes = np.diff(first, append=len(keys))
-    unique = ordered[first].tolist()
-    stored = map(colorer._counters.get, unique, repeat(0))
-    stored = np.fromiter(stored, dtype=np.int64, count=len(unique))
+    counters = np.frombuffer(colorer._counters, dtype=np.int64)
+    unique = ordered[first]
+    stored = counters[unique]
     value = np.empty_like(keys)
     value[order] = np.arange(len(keys)) - np.repeat(first - stored, sizes)
-    colorer._counters.update(zip(unique, (stored + sizes).tolist()))
+    counters[unique] = stored + sizes
     colorer._choice.skip(draws)
 
-    # tuple.__new__ builds the NamedTuples without a Python-level __new__
-    triples = zip(index.tolist(), value[0::2].tolist(), value[1::2].tolist())
-    colours = list(map(tuple.__new__, repeat(TripleColour), triples))
-    if draws < k:
-        serial = colorer._overflow_serial
-        triples, overflows = iter(colours), map(OverflowColour, range(serial, serial + k - draws))
-        colours = [next(triples) if d else next(overflows) for d in drawn.tolist()]
-        colorer._overflow_serial += k - draws
-    ends = zip(uv.min(axis=1).tolist(), uv.max(axis=1).tolist())
-    records += zip(map(tuple.__new__, repeat(Edge), ends), colours)
+    # triples (index, left, right) where drawn, overflow serials elsewhere
+    fields = np.zeros((3, k), dtype=np.int64)
+    fields[:, drawn] = index, value[0::2], value[1::2]
+    serial = colorer._overflow_serial
+    fields[0, ~drawn] = np.arange(serial, serial + k - draws)
+    colorer._overflow_serial += k - draws
+    kind = np.where(drawn, 1, 2).astype(np.int64)
+    for column, values in zip(out.columns, (uv.min(axis=1), uv.max(axis=1), kind, *fields)):
+        column.frombytes(values.view(np.uint8))
     return k
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-_KINDS = {ChunkColour: 0, TripleColour: 1, OverflowColour: 2}
 
 
 def _dense(key):
@@ -168,40 +170,19 @@ def _rank(*columns):
     return rank, count
 
 
-def verify_columns(records) -> VerificationReport | None:
-    """``_verify_scalar``'s report computed on integer columns, or None when
-    that loop must decide: an empty transcript, a record that is not two
-    plain-int endpoints and a known colour of plain ints, a self-loop, a
+def verify_columns(transcript: Transcript) -> VerificationReport | None:
+    """``_verify_scalar``'s report computed on the transcript's columns, or
+    None when that loop must decide: an empty transcript, a self-loop, a
     negative vertex, or a conflict."""
-    if not records:
+    k = len(transcript)
+    if not k:
         return None
-    k = len(records)
-    try:
-        edges = [edge for edge, _ in records]
-        colours = [colour for _, colour in records]
-        if set(map(len, edges)) != {2} or not set(map(type, colours)) <= _KINDS.keys():
-            return None
-        numbers = chain.from_iterable(chain(edges, colours))
-        if set(map(type, numbers)) != {int}:
-            return None
-        uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * k).reshape(k, 2)
-        kind = np.fromiter(map(_KINDS.__getitem__, map(type, colours)), dtype=np.int64, count=k)
-        fields = np.zeros((k, 3), dtype=np.int64)
-        for cls, code in _KINDS.items():
-            rows = np.flatnonzero(kind == code)
-            if len(rows):
-                arity = len(cls._fields)
-                values = chain.from_iterable(c for c in colours if type(c) is cls)
-                fields[rows, :arity] = np.fromiter(
-                    values, dtype=np.int64, count=arity * len(rows)
-                ).reshape(-1, arity)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    u, v, kind, *fields = _columns(transcript)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     if lo.min() < 0 or (lo == hi).any():
         return None
 
-    colour, colour_count = _rank(kind, *fields.T)
+    colour, colour_count = _rank(kind, *fields)
     vertex, vertex_count = _dense(np.concatenate([lo, hi]))  # lo ends, then hi ends
     end_colour = np.concatenate([colour, colour])
     if _dense(vertex * colour_count + end_colour)[1] < 2 * k:
@@ -211,7 +192,7 @@ def verify_columns(records) -> VerificationReport | None:
     distinct_per_kind = np.bincount(colour_kind, minlength=3).tolist()
 
     # palettes: (kind, chunk or slice index), one for all overflow colours
-    index = np.where(kind == 2, 0, fields[:, 0])
+    index = np.where(kind == 2, 0, fields[0])
     palette, palette_count = _rank(kind, index)
     first = np.full(palette_count, k, dtype=np.int64)
     np.minimum.at(first, palette, np.arange(k))
@@ -225,7 +206,7 @@ def verify_columns(records) -> VerificationReport | None:
     highest = np.full((palette_count, 3), -1, dtype=np.int64)
     for code, source, target in ((0, 1, 0), (1, 1, 1), (1, 2, 2)):
         rows = kind == code
-        np.maximum.at(highest[:, target], palette[rows], fields[rows, source])
+        np.maximum.at(highest[:, target], palette[rows], fields[source][rows])
 
     edge_count = np.bincount(palette, minlength=palette_count).tolist()
     max_degree, highest = max_degree.tolist(), highest.tolist()
@@ -257,3 +238,85 @@ def verify_columns(records) -> VerificationReport | None:
         duplicate_edges=k - _dense(vertex[:k] * vertex_count + vertex[k:])[1],
         records=k,
     )
+
+
+# ---------------------------------------------------------------------------
+# the other transcript checks
+
+
+def distinct_colours(transcript: Transcript) -> int:
+    """The number of distinct (kind, c0, c1, c2) rows: adjacent rows differ
+    once sorted."""
+    rows = np.stack(_columns(transcript)[2:])
+    rows = rows[:, np.lexsort(rows[::-1])]
+    return int((rows[:, 1:] != rows[:, :-1]).any(axis=0).sum()) + (rows.shape[1] > 0)
+
+
+def across_slices(transcript: Transcript, colorer: BipartiteColorer) -> bool:
+    """``check_bipartition`` on the columns: whether every triple-coloured
+    record joins a bit-0 and a bit-1 node at its slice index, gathering
+    both endpoints' bits from the signature limbs in one step.  At the first
+    record out of range for ``colorer``, ``colorer.bit`` raises, as in the
+    record-by-record loop."""
+    u, v, kind, index, _, _ = _columns(transcript)
+    rows = np.flatnonzero(kind == 1)
+    ends, index = np.stack([u[rows], v[rows]]), index[rows]
+    fits = ((0 <= ends) & (ends < colorer.n)).all(axis=0) & (0 <= index) & (index < colorer.s)
+    stop = len(rows) if fits.all() else int(np.argmin(fits))
+    slices = index[:stop]
+    limbs = _signature_limbs(colorer)
+    bits = (limbs[ends[:, :stop], slices // 64] >> (slices % 64).astype(np.uint64)) & np.uint64(1)
+    if (bits[0] == bits[1]).any():
+        return False
+    if stop < len(rows):
+        for end in ends[:, stop].tolist():
+            colorer.bit(end, int(index[stop]))  # raises ValidationError
+    return True
+
+
+def chunk_degrees(transcript: Transcript) -> tuple[int, list]:
+    """``chunk_concentration``'s counts on the columns: the number of chunks,
+    and for each (chunk, vertex) pair an endpoint meets, in that sorted
+    order, ``(chunk, vertex, degree in the chunk, degree, chunk size)``.
+    The first record that is not chunk-coloured, or is a self-loop or has a
+    negative vertex, raises as in the record-by-record loop."""
+    u, v, kind, chunk, _, _ = _columns(transcript)
+    bad = np.flatnonzero((kind != 0) | (np.minimum(u, v) < 0) | (u == v))
+    if len(bad):
+        row = bad[0]
+        if kind[row] != 0:
+            raise WrongAlgorithmError("transcript has non-chunk colours; chunk structure unavailable")
+        canonicalize(Edge(int(u[row]), int(v[row])))  # raises its ValidationError
+    if not len(kind):
+        raise WrongAlgorithmError("empty transcript has no chunk structure")
+
+    ends, chunks = np.concatenate([u, v]), np.concatenate([chunk, chunk])
+    order = np.lexsort((ends, chunks))
+    ends, chunks = ends[order], chunks[order]
+    first = np.flatnonzero(np.diff(ends, prepend=-1) | np.diff(chunks, prepend=chunks[:1]))
+    vertices, degree = np.unique(ends, return_counts=True)
+    chunk_ids, size = np.unique(chunk, return_counts=True)
+    rows = (
+        chunks[first],
+        ends[first],
+        np.diff(first, append=len(ends)),
+        degree[np.searchsorted(vertices, ends[first])],
+        size[np.searchsorted(chunk_ids, chunks[first])],
+    )
+    return len(chunk_ids), list(zip(*(column.tolist() for column in rows)))
+
+
+def same_edge_multiset(edges: list[Edge], transcript: Transcript) -> bool:
+    """Whether ``transcript`` announces each of ``edges`` exactly as often as
+    it occurs there, endpoints in either order: the sorted canonical keys
+    ``min * base + max`` of both sides are equal, ``base`` exceeding every
+    endpoint.  Every endpoint must be non-negative."""
+    k = len(edges)
+    if k != len(transcript):
+        return False
+    uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * k).reshape(k, 2)
+    u, v, *_ = _columns(transcript)
+    lo = np.concatenate([uv.min(axis=1), np.minimum(u, v)])
+    hi = np.concatenate([uv.max(axis=1), np.maximum(u, v)])
+    keys = lo * (int(hi.max(initial=0)) + 1) + hi
+    return np.array_equal(np.sort(keys[:k]), np.sort(keys[k:]))

@@ -12,12 +12,16 @@ globally unique overflow colours instead of crashing.  At the default
 signature width (36 ln n bits) identical signatures essentially never occur.
 
 ``feed`` colours one edge; ``feed_many`` colours a whole stream with numpy,
-a block at a time, and announces exactly what ``feed`` would.  ``feed``
-stays the reference the batch path is tested against.
+a block at a time, into transcript columns, and announces exactly what
+``feed`` would.  ``feed`` stays the reference the batch path is tested
+against.  The counters are one int64 array of n*s words, the n*s the meter
+charges: ``feed`` indexes it, ``feed_many`` gathers and scatters through a
+numpy view of it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 from itertools import islice
 
@@ -28,6 +32,8 @@ from .core import (
     Edge,
     OverflowColour,
     SpaceMeter,
+    StreamHeader,
+    Transcript,
     TripleColour,
     ValidationError,
     checked_edge,
@@ -81,9 +87,9 @@ class BipartiteColorer:
         stream = SplitMix64(seed)
         self._signatures = [stream.bits(s) for _ in range(n)]
         self._choice = stream  # continues the same word sequence
-        self._counters: dict[int, int] = {}  # key u*s + i
+        self._counters = array("q", [0]) * (n * s)  # u*s + i -> uses of i at u
         self._overflow_serial = 0
-        self._signature_limbs = None  # (n, ceil(s/64)) uint64, built by batch.feed_block
+        self._signature_limbs = None  # (n, ceil(s/64)) uint64, built by the batch kernels
         self.finished = False
 
         # one signature word per node, the overflow serial, n*s counters
@@ -114,30 +120,31 @@ class BipartiteColorer:
             u, v = v, u  # left endpoint carries bit i = 0
         ku = u * self.s + i
         kv = v * self.s + i
-        cu = self._counters.get(ku, 0)
-        cv = self._counters.get(kv, 0)
+        cu = self._counters[ku]
+        cv = self._counters[kv]
         self._counters[ku] = cu + 1
         self._counters[kv] = cv + 1
         return [(edge, TripleColour(i, cu, cv))]
 
-    def feed_many(self, edges: Iterable[Edge]) -> list[tuple[Edge, ColourId]]:
-        """Feed ``edges`` in order: the announcements, counters, draws and
-        overflow serials are those of calling :meth:`feed` on each edge,
-        computed with numpy a block at a time.  An edge the batch cannot take
-        (an invalid one, or one whose index draw ``below`` would reject) goes
-        to :meth:`feed`, so its errors are feed's too."""
+    def feed_many(self, edges: Iterable[Edge]) -> Transcript:
+        """Feed ``edges`` in order and return the announcements as a
+        transcript: they, the counters, draws and overflow serials are those
+        of calling :meth:`feed` on each edge, computed with numpy a block at
+        a time.  An edge the batch cannot take (an invalid one, or one whose
+        index draw ``below`` would reject) goes to :meth:`feed`, so its
+        errors are feed's too."""
         from .batch import feed_block  # numpy and the kernel load on first use
 
-        records: list[tuple[Edge, ColourId]] = []
+        out = Transcript(StreamHeader(self.n))
         stream = iter(edges)
         while block := list(islice(stream, _BLOCK)):
             start = 0
             while start < len(block):
-                start += feed_block(self, block, start, records)
+                start += feed_block(self, block, start, out)
                 if start < len(block):
-                    records += self.feed(block[start])
+                    out.extend(self.feed(block[start]))
                     start += 1
-        return records
+        return out
 
     def finish(self) -> list[tuple[Edge, ColourId]]:
         if self.finished:

@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -94,14 +93,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .batch import same_edge_multiset  # numpy loads on first use
+
     transcript = read_transcript(args.transcript)
     report = verify(transcript)
     _, graph_edges = read_edge_list(args.graph)
-    # both readers reject self-loops, so each pair has one canonical form;
-    # one Counter, less the announced pairs, holds half the memory of two
-    unmatched = Counter((u, v) if u < v else (v, u) for u, v in graph_edges)
-    unmatched.subtract((u, v) if u < v else (v, u) for (u, v), _ in transcript.records)
-    complete = not any(unmatched.values())
+    complete = same_edge_multiset(graph_edges, transcript)  # both readers reject negatives
 
     if args.csv:
         row = {col: "" for col in CSV_COLUMNS}
@@ -109,7 +106,7 @@ def _cmd_verify(args) -> int:
             algo="verify",
             family=args.graph,
             n=transcript.header.n,
-            m=len(transcript.records),
+            m=len(transcript),
             max_degree=report.max_degree,
             colours=report.distinct_colours,
             overflow=report.overflow_colours,

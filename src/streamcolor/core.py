@@ -3,8 +3,8 @@ meter, and the two plain-text file formats.
 
 An input stream is a :class:`StreamHeader` plus an ordered list of
 :class:`Edge`.  A colourer consumes the stream and produces a
-:class:`Transcript`: the ordered list of (edge, colour) announcements it wrote
-to its output stream.  Colours live in one of three disjoint namespaces:
+:class:`Transcript`: the ordered (edge, colour) announcements it wrote to its
+output stream.  Colours live in one of three disjoint namespaces:
 
 * ``ChunkColour(chunk, local)`` for the chunk-buffered colourer, one palette
   per flushed chunk,
@@ -12,11 +12,22 @@ to its output stream.  Colours live in one of three disjoint namespaces:
   palette per bit index,
 * ``OverflowColour(serial)``, globally unique fallbacks for edges whose
   endpoints drew identical signatures.
+
+A transcript stores its records as six parallel int64 columns
+(``array('q')``, so no numpy is needed to build one): ``u`` and ``v`` as
+announced, the colour's kind (0 chunk, 1 triple, 2 overflow) and its fields
+``c0``, ``c1``, ``c2`` in order, zero where the colour has fewer.  The batch
+kernels read them zero-copy with ``numpy.frombuffer``.  ``records`` is a
+read-only view of the same announcements as ``(Edge, colour)`` NamedTuples,
+built on first access; its length is the columns' and builds nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -96,14 +107,18 @@ class OverflowColour(NamedTuple):
 ColourId = Union[ChunkColour, TripleColour, OverflowColour]
 
 
+# a colour's kind code in a transcript's ``kind`` column, and its class
+_COLOURS = (ChunkColour, TripleColour, OverflowColour)
+_KIND_OF = {cls: kind for kind, cls in enumerate(_COLOURS)}
+_ARITY = tuple(len(cls._fields) for cls in _COLOURS)
+_COLOUR_FORMATS = ("c:{}:{}", "t:{}:{}:{}", "o:{}")
+
+
 def format_colour(colour: ColourId) -> str:
-    if isinstance(colour, ChunkColour):
-        return f"c:{colour.chunk}:{colour.local}"
-    if isinstance(colour, TripleColour):
-        return f"t:{colour.index}:{colour.left}:{colour.right}"
-    if isinstance(colour, OverflowColour):
-        return f"o:{colour.serial}"
-    raise ValidationError(f"not a colour: {colour!r}")
+    kind = _KIND_OF.get(type(colour))
+    if kind is None:
+        raise ValidationError(f"not a colour: {colour!r}")
+    return _COLOUR_FORMATS[kind].format(*colour)
 
 
 def parse_colour(text: str) -> ColourId:
@@ -138,18 +153,122 @@ class StreamHeader:
                 raise ValidationError(f"edge count {self.m} impossible for n={self.n}")
 
 
-@dataclass
-class Transcript:
-    """The recorded output stream: (edge, colour) in announcement order."""
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
-    header: StreamHeader
-    records: list[tuple[Edge, ColourId]] = field(default_factory=list)
+
+def _holds(record: tuple[Edge, ColourId]) -> bool:
+    """Whether a transcript's columns hold ``record`` as itself."""
+    edge, colour = record
+    return (
+        type(edge) is Edge
+        and type(colour) in _KIND_OF
+        and all(type(x) is int and _INT64_MIN <= x <= _INT64_MAX for x in (*edge, *colour))
+    )
+
+
+class Transcript:
+    """The recorded output stream: (edge, colour) in announcement order, held
+    as the six int64 columns ``u``, ``v``, ``kind``, ``c0``, ``c1``, ``c2``."""
+
+    def __init__(self, header: StreamHeader, records: Iterable[tuple[Edge, ColourId]] = ()):
+        self.header = header
+        self.columns = tuple(array("q") for _ in range(6))
+        self.u, self.v, self.kind, self.c0, self.c1, self.c2 = self.columns
+        self._view: list[tuple[Edge, ColourId]] = []
+        self.extend(records)
+
+    def extend(self, records: Iterable[tuple[Edge, ColourId]] | Transcript) -> None:
+        """Append ``records`` in order: (edge, colour) pairs, or every record
+        of another transcript.  If one pair cannot be held by the columns as
+        itself (its edge is not an ``Edge``, its colour of no known kind, or
+        a field not a plain int in int64 range), ValidationError names the
+        first such pair and nothing is appended."""
+        if isinstance(records, Transcript):
+            for mine, theirs in zip(self.columns, records.columns):
+                mine.extend(theirs)
+            return
+        records = list(records)
+        kinds = {type(colour) for _, colour in records}
+        if len(kinds) == 1 and {type(edge) for edge, _ in records} == {Edge}:
+            # one colour kind, so a record is a fixed-width run of numbers
+            numbers = list(chain.from_iterable(chain.from_iterable(records)))
+            kind = _KIND_OF.get(kinds.pop())
+            if kind is not None and set(map(type, numbers)) == {int}:
+                try:
+                    block = array("q", numbers)
+                except OverflowError:
+                    pass  # the record-by-record check below names it
+                else:
+                    width, k = len(numbers) // len(records), len(records)
+                    zeros = array("q", [0]) * k
+                    self.u.extend(block[0::width])
+                    self.v.extend(block[1::width])
+                    self.kind.extend(array("q", [kind]) * k)
+                    for j, column in enumerate((self.c0, self.c1, self.c2), start=2):
+                        column.extend(block[j::width] if j < width else zeros)
+                    return
+        bad = next((record for record in records if not _holds(record)), None)
+        if bad is not None:
+            raise ValidationError(f"record {bad!r} is not an Edge and a colour of int64s")
+        for (u, v), colour in records:
+            kind = _KIND_OF[type(colour)]
+            row = (u, v, kind, *colour, 0, 0)  # zero fields; zip stops at six
+            for column, value in zip(self.columns, row):
+                column.append(value)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.u)
+
+    @property
+    def records(self) -> Sequence[tuple[Edge, ColourId]]:
+        return _Records(self)
+
+    def _built(self) -> list[tuple[Edge, ColourId]]:
+        """The records as NamedTuples, built from the columns on first use
+        and extended as the columns grow (they only ever grow)."""
+        view = self._view
+        start = len(view)
+        if start < len(self.u):
+            rows = zip(*(column[start:] for column in self.columns))
+            view += [
+                (Edge(u, v), _COLOURS[kind](*(c0, c1, c2)[: _ARITY[kind]]))
+                for u, v, kind, c0, c1, c2 in rows
+            ]
+        return view
 
     def distinct_colours(self) -> int:
-        return len({colour for _, colour in self.records})
+        from .batch import distinct_colours  # numpy loads on first use
+
+        return distinct_colours(self)
+
+
+class _Records(Sequence):
+    """Read-only view of a transcript's records; equal to any sequence of
+    the same (edge, colour) pairs."""
+
+    __slots__ = ("_transcript",)
+
+    def __init__(self, transcript: Transcript):
+        self._transcript = transcript
+
+    def __len__(self) -> int:
+        return len(self._transcript)
+
+    def __getitem__(self, index):
+        return self._transcript._built()[index]
+
+    def __iter__(self):
+        return iter(self._transcript._built())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._transcript._built() == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._transcript._built())
 
 
 class SpaceMeter:
@@ -187,17 +306,19 @@ def run_stream(colorer, edges: Iterable[Edge], header: StreamHeader) -> Transcri
 
     A colourer is any object with ``feed(edge) -> list`` and
     ``finish() -> list`` returning (edge, colour) announcements.  One that
-    also has ``feed_many(edges) -> list``, announcing what ``feed`` would on
-    each edge in turn, gets the whole stream through it.
+    also has ``feed_many(edges) -> Transcript``, announcing what ``feed``
+    would on each edge in turn, gets the whole stream through it.
     """
-    transcript = Transcript(header=header)
+    transcript = Transcript(header)
     feed_many = getattr(colorer, "feed_many", None)
     if feed_many is not None:
-        transcript.records.extend(feed_many(edges))
+        transcript.extend(feed_many(edges))
     else:
+        announced = []
         for edge in edges:
-            transcript.records.extend(colorer.feed(edge))
-    transcript.records.extend(colorer.finish())
+            announced += colorer.feed(edge)
+        transcript.extend(announced)
+    transcript.extend(colorer.finish())
     return transcript
 
 
@@ -285,19 +406,27 @@ def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
+    lines = tuple(f"{{}} {{}} {form}\n".format for form in _COLOUR_FORMATS)
     with open(path, "w") as fh:
         fh.write(_format_header(transcript.header) + "\n")
-        for (u, v), colour in transcript.records:
-            fh.write(f"{u} {v} {format_colour(colour)}\n")
+        for u, v, kind, c0, c1, c2 in zip(*transcript.columns):
+            fh.write(lines[kind](u, v, c0, c1, c2))  # format ignores unused fields
 
 
 def read_transcript(path: str | Path) -> Transcript:
     header, lines = _parse_lines(path, "u v colour")
+    line_nos: list[int] = []
     records: list[tuple[Edge, ColourId]] = []
     for line_no, edge, tokens in lines:
         try:
-            colour = parse_colour(tokens[2])
+            records.append((edge, parse_colour(tokens[2])))
         except ValidationError as exc:
             raise TranscriptParseError(str(exc), line_no)
-        records.append((edge, colour))
-    return Transcript(header=header, records=records)
+        line_nos.append(line_no)
+    transcript = Transcript(header)
+    try:
+        transcript.extend(records)
+    except ValidationError as exc:
+        bad = next(i for i, record in enumerate(records) if not _holds(record))
+        raise TranscriptParseError(str(exc), line_nos[bad])
+    return transcript

@@ -6,10 +6,11 @@ complete properness check; ``chunk_concentration`` and ``colour_budget`` are
 the per-algorithm measurements the experiment harness and acceptance suite
 consume.
 
-``verify`` computes its report with numpy; the record-by-record loop it
+``verify``, ``chunk_concentration`` and ``check_bipartition`` compute on the
+transcript's int64 columns with numpy.  The record-by-record loop ``verify``
 replaces stays as ``_verify_scalar``, which decides every transcript the
-columns cannot (conflicts, errors, unusual records) and is the reference
-the numpy path is tested against.
+columns cannot (conflicts, self-loops, negative vertices) and is the
+reference the numpy path is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     Transcript,
     TripleColour,
     ValidationError,
-    WrongAlgorithmError,
     canonicalize,
 )
 
@@ -69,7 +69,7 @@ def verify(transcript: Transcript) -> VerificationReport:
     """
     from .batch import verify_columns  # numpy and the kernel load on first use
 
-    report = verify_columns(transcript.records)
+    report = verify_columns(transcript)
     return report if report is not None else _verify_scalar(transcript)
 
 
@@ -161,30 +161,18 @@ def chunk_concentration(transcript: Transcript) -> ConcentrationSummary:
     Requires a chunk-colourer transcript: the chunk index of each record is
     the chunk structure.
     """
-    chunk_degree: dict[tuple[int, int], int] = {}
-    full_degree: dict[int, int] = {}
-    chunk_size: dict[int, int] = {}
-    for edge, colour in transcript.records:
-        if not isinstance(colour, ChunkColour):
-            raise WrongAlgorithmError(
-                "transcript has non-chunk colours; chunk structure unavailable"
-            )
-        chunk_size[colour.chunk] = chunk_size.get(colour.chunk, 0) + 1
-        for x in canonicalize(edge):
-            full_degree[x] = full_degree.get(x, 0) + 1
-            chunk_degree[(colour.chunk, x)] = chunk_degree.get((colour.chunk, x), 0) + 1
-    if not chunk_size:
-        raise WrongAlgorithmError("empty transcript has no chunk structure")
+    from .batch import chunk_degrees  # numpy and the kernel load on first use
 
-    m = len(transcript.records)
+    num_chunks, counts = chunk_degrees(transcript)
+    m = len(transcript)
     rows = []
     ratios = []
-    for (chunk, vertex), d_i in sorted(chunk_degree.items()):
-        expected = full_degree[vertex] * chunk_size[chunk] / m
+    for chunk, vertex, d_i, degree, size in counts:
+        expected = degree * size / m
         rows.append(ConcentrationRow(chunk, vertex, d_i, expected))
         ratios.append(d_i / expected)
     return ConcentrationSummary(
-        num_chunks=len(chunk_size),
+        num_chunks=num_chunks,
         rows=rows,
         max_ratio=max(ratios),
         mean_ratio=sum(ratios) / len(ratios),
@@ -267,13 +255,8 @@ def colour_budget(report: VerificationReport, algo: str, s: int | None = None) -
 
 def check_bipartition(transcript: Transcript, colorer) -> bool:
     """Every triple-coloured edge must join a bit-0 node (left) to a bit-1
-    node (right) at its slice index.  ``colorer`` supplies the bits."""
-    for edge, colour in transcript.records:
-        if not isinstance(colour, TripleColour):
-            continue
-        u, v = edge
-        bu = colorer.bit(u, colour.index)
-        bv = colorer.bit(v, colour.index)
-        if bu == bv:
-            return False
-    return True
+    node (right) at its slice index.  ``colorer``, the bit-signature
+    colourer that wrote the transcript, supplies the bits."""
+    from .batch import across_slices  # numpy and the kernel load on first use
+
+    return across_slices(transcript, colorer)

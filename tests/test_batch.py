@@ -1,6 +1,7 @@
 """Differential tests of the numpy batch paths against their scalar oracles:
-``BipartiteColorer.feed_many`` against ``feed`` and ``verify`` against
-``_verify_scalar``."""
+``BipartiteColorer.feed_many`` against ``feed``, ``verify`` against
+``_verify_scalar`` and ``check_bipartition`` against a record-by-record
+``bit`` loop."""
 
 import os
 import subprocess
@@ -23,6 +24,7 @@ from streamcolor import (
     Transcript,
     TripleColour,
     ValidationError,
+    check_bipartition,
     run_stream,
     verify,
 )
@@ -81,9 +83,9 @@ class TestFeedMany:
         batch = BipartiteColorer(n, s, seed)
         want = scalar_records(scalar, edges)
         with patch.object(bipartite, "_BLOCK", block):
-            got = batch.feed_many(edges[:a])
+            got = list(batch.feed_many(edges[:a]).records)
             got += scalar_records(batch, edges[a:b])
-            got += batch.feed_many(iter(edges[b:]))
+            got += batch.feed_many(iter(edges[b:])).records
         assert repr(got) == repr(want)  # types too: Edge and colour NamedTuples
         assert state(batch) == state(scalar)
 
@@ -146,7 +148,7 @@ class TestFeedMany:
         handed = []
         feed = batch.feed
         batch.feed = lambda edge: handed.append(edge) or feed(edge)
-        got = batch.feed_many(edges)
+        got = batch.feed_many(edges).records
         assert handed == [edges[2]]
         assert repr(got) == repr(want)
         assert state(batch) == state(scalar)
@@ -167,6 +169,10 @@ def test_import_and_construction_leave_numpy_unloaded():
         "sc.BipartiteColorer(64, 130, 1, expose_randomness=True)\n"
         "sc.ChunkColorer(sc.ChunkConfig(n=64, alpha=2))\n"
         "sc.GreedyStreamColorer(64)\n"
+        "t = sc.Transcript(sc.StreamHeader(4), [(sc.Edge(0, 1), sc.ChunkColour(0, 0))])\n"
+        "t.extend([(sc.Edge(1, 2), sc.TripleColour(0, 1, 0))])\n"
+        "t.extend(t)\n"
+        "assert len(t) == len(t.records) == 4\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(streamcolor.__file__).resolve().parents[1]))
@@ -202,7 +208,7 @@ class TestVerifyColumns:
     @given(transcript=transcripts())
     def test_matches_scalar(self, transcript):
         scalar = _verify_scalar(transcript)
-        columns = verify_columns(transcript.records)
+        columns = verify_columns(transcript)
         if columns is None:
             assert not transcript.records or not scalar.proper
         else:
@@ -212,7 +218,7 @@ class TestVerifyColumns:
 
     def test_empty(self):
         transcript = Transcript(StreamHeader(3))
-        assert verify_columns(transcript.records) is None
+        assert verify_columns(transcript) is None
         assert verify(transcript) == _verify_scalar(transcript)
 
     @pytest.mark.parametrize(
@@ -220,12 +226,67 @@ class TestVerifyColumns:
         [
             (Edge(2, 2), TripleColour(0, 0, 0)),  # self-loop
             (Edge(-1, 2), TripleColour(0, 0, 0)),  # negative vertex
-            (Edge(1, 2), (0, 1)),  # not a colour type
-            (Edge(1, 2), TripleColour(0, 1.0, 0)),  # not a plain int
-            (Edge(1, 2), ChunkColour(True, 0)),  # a bool field
         ],
     )
     def test_unusual_records_are_the_scalar_loops(self, record):
         transcript = Transcript(StreamHeader(4), [(Edge(0, 1), ChunkColour(0, 0)), record])
-        assert verify_columns(transcript.records) is None
+        assert verify_columns(transcript) is None
         assert repr(outcome(verify, transcript)) == repr(outcome(_verify_scalar, transcript))
+
+
+# ---------------------------------------------------------------------------
+# check_bipartition
+
+
+def bit_loop(transcript, colorer):
+    """check_bipartition record by record, two ``bit`` calls per record."""
+    for (u, v), colour in transcript.records:
+        if isinstance(colour, TripleColour) and colorer.bit(u, colour.index) == colorer.bit(
+            v, colour.index
+        ):
+            return False
+    return True
+
+
+class TestCheckBipartition:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        stream=streams(),
+        s=st.sampled_from(WIDTHS),
+        seed=st.integers(0, MASK64),
+        planted=st.none() | st.integers(0, 60),
+    )
+    def test_matches_bit_loop(self, stream, s, seed, planted):
+        n, edges, _ = stream
+        colorer = BipartiteColorer(n, s, seed)
+        records = list(run_stream(colorer, edges, StreamHeader(n)).records)
+        if planted is not None:
+            # a triple whose endpoints sit on one side of its slice
+            i = planted % s
+            sides = {}
+            for u in range(n):
+                sides.setdefault(colorer.bit(u, i), []).append(u)
+            same = next((side for side in sides.values() if len(side) > 1), None)
+            if same is not None:
+                at = planted % (len(records) + 1)
+                records.insert(at, (Edge(same[0], same[1]), TripleColour(i, 0, 0)))
+        transcript = Transcript(StreamHeader(n), records)
+        want = bit_loop(transcript, colorer)
+        assert check_bipartition(transcript, colorer) == want
+        assert want == (planted is None or same is None)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (Edge(0, 9), TripleColour(0, 0, 0)),  # vertex out of range for n = 6
+            (Edge(0, 1), TripleColour(4, 0, 0)),  # index out of range for s = 4
+            (Edge(-1, 1), TripleColour(0, 0, 0)),
+        ],
+    )
+    def test_out_of_range_raises_as_bit_does(self, record):
+        colorer = BipartiteColorer(6, 4, 3)
+        transcript = run_stream(colorer, [Edge(0, 1), Edge(2, 3)], StreamHeader(6))
+        transcript.extend([record, (Edge(4, 5), ChunkColour(0, 0))])
+        got = outcome(check_bipartition, transcript, colorer)
+        assert got[0] is ValidationError
+        assert repr(got) == repr(outcome(bit_loop, transcript, colorer))

@@ -140,6 +140,63 @@ class TestColourIds:
                 parse_colour(bad)
 
 
+INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+edge_strategy = st.builds(Edge, INT64, INT64)
+wide_colours = st.one_of(
+    st.builds(ChunkColour, INT64, INT64),
+    st.builds(TripleColour, INT64, INT64, INT64),
+    st.builds(OverflowColour, INT64),
+)
+
+
+class TestTranscript:
+    @given(
+        records=st.lists(st.tuples(edge_strategy, wide_colours), max_size=30),
+        cut=st.integers(0, 30),
+    )
+    def test_records_round_trip_through_the_columns(self, records, cut):
+        t = Transcript(StreamHeader(4), records[:cut])
+        t.extend(records[cut:])
+        assert len(t) == len(t.records) == len(records)
+        assert t._view == []  # taking a length builds no records
+        assert repr(list(t.records)) == repr(records)
+        assert t.records == records
+        assert repr(list(Transcript(StreamHeader(4), [*t.records]).records)) == repr(records)
+        copy = Transcript(StreamHeader(4))
+        copy.extend(t)
+        assert copy.records == records
+        assert t.distinct_colours() == len({colour for _, colour in records})
+
+    def test_view_follows_the_columns(self):
+        t = Transcript(StreamHeader(4), [(Edge(0, 1), ChunkColour(0, 0))])
+        view = t.records
+        assert list(view) == [(Edge(0, 1), ChunkColour(0, 0))]
+        t.extend([(Edge(1, 2), OverflowColour(3))])
+        assert view[-1] == (Edge(1, 2), OverflowColour(3)) and len(view) == 2
+        with pytest.raises(AttributeError):
+            t.records = []
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (Edge(1, 2), (0, 1)),  # not a colour type
+            (Edge(1, 2), TripleColour(0, 1.0, 0)),  # not a plain int
+            (Edge(1, 2), ChunkColour(True, 0)),  # a bool field
+            ((1, 2), ChunkColour(0, 0)),  # not an Edge
+            (Edge(1, 1 << 63), ChunkColour(0, 0)),  # beyond int64
+            (Edge(1, 2), OverflowColour(-(1 << 63) - 1)),
+        ],
+    )
+    def test_rejects_what_the_columns_cannot_hold(self, record):
+        good = (Edge(0, 1), ChunkColour(0, 0))
+        with pytest.raises(ValidationError):
+            Transcript(StreamHeader(4), [good, record])
+        t = Transcript(StreamHeader(4), [good])
+        with pytest.raises(ValidationError):
+            t.extend([record])
+        assert list(t.records) == [good] and all(len(column) == 1 for column in t.columns)
+
+
 class TestStreamHeader:
     def test_rejects_zero_vertices(self):
         with pytest.raises(ValidationError):
@@ -165,12 +222,14 @@ class TestFileFormats:
         assert got_edges == edges  # stream order and orientation preserved
 
     def test_transcript_roundtrip(self, tmp_path):
-        t = Transcript(header=StreamHeader(4, m=2))
-        t.records = [
-            (Edge(0, 1), ChunkColour(0, 1)),
-            (Edge(1, 2), TripleColour(3, 0, 2)),
-            (Edge(2, 3), OverflowColour(0)),
-        ]
+        t = Transcript(
+            header=StreamHeader(4, m=2),
+            records=[
+                (Edge(0, 1), ChunkColour(0, 1)),
+                (Edge(1, 2), TripleColour(3, 0, 2)),
+                (Edge(2, 3), OverflowColour(0)),
+            ],
+        )
         path = tmp_path / "t.tr"
         write_transcript(path, t)
         got = read_transcript(path)
@@ -228,6 +287,15 @@ class TestFileFormats:
     def test_bad_colour_line_number(self, tmp_path):
         path = tmp_path / "bad.tr"
         path.write_text("n 5\n0 1 c:0:0\n1 2 q:1\n")
+        with pytest.raises(TranscriptParseError) as err:
+            read_transcript(path)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("colour", [f"c:0:{1 << 63}", f"t:1:0:{-(1 << 63) - 1}"])
+    def test_colour_beyond_int64_names_its_line(self, tmp_path, colour):
+        # the transcript's columns cannot hold the field
+        path = tmp_path / "bad.tr"
+        path.write_text(f"n 5\n0 1 c:0:0\n1 2 {colour}\n2 3 o:0\n")
         with pytest.raises(TranscriptParseError) as err:
             read_transcript(path)
         assert err.value.line_no == 3

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
     BipartiteColorer,
@@ -14,12 +16,14 @@ from streamcolor import (
     UniformRandomPermutation,
     ValidationError,
     WrongAlgorithmError,
+    canonicalize,
     chunk_concentration,
     colour_budget,
     generate,
     run_stream,
     verify,
 )
+from streamcolor.verify import ConcentrationRow, ConcentrationSummary
 
 
 def transcript_of(records, n=10):
@@ -134,6 +138,74 @@ class TestChunkConcentration:
             chunk_concentration(t)
         with pytest.raises(WrongAlgorithmError):
             chunk_concentration(transcript_of([]))
+
+
+def concentration_loop(transcript):
+    """chunk_concentration record by record: the oracle of the column path."""
+    chunk_degree: dict[tuple[int, int], int] = {}
+    full_degree: dict[int, int] = {}
+    chunk_size: dict[int, int] = {}
+    for edge, colour in transcript.records:
+        if not isinstance(colour, ChunkColour):
+            raise WrongAlgorithmError(
+                "transcript has non-chunk colours; chunk structure unavailable"
+            )
+        chunk_size[colour.chunk] = chunk_size.get(colour.chunk, 0) + 1
+        for x in canonicalize(edge):
+            full_degree[x] = full_degree.get(x, 0) + 1
+            chunk_degree[(colour.chunk, x)] = chunk_degree.get((colour.chunk, x), 0) + 1
+    if not chunk_size:
+        raise WrongAlgorithmError("empty transcript has no chunk structure")
+
+    m = len(transcript.records)
+    rows = []
+    ratios = []
+    for (chunk, vertex), d_i in sorted(chunk_degree.items()):
+        expected = full_degree[vertex] * chunk_size[chunk] / m
+        rows.append(ConcentrationRow(chunk, vertex, d_i, expected))
+        ratios.append(d_i / expected)
+    return ConcentrationSummary(
+        num_chunks=len(chunk_size),
+        rows=rows,
+        max_ratio=max(ratios),
+        mean_ratio=sum(ratios) / len(ratios),
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def chunk_transcripts(draw):
+    vertex = st.integers(-1, 12) if draw(st.booleans()) else st.integers(0, 12)
+    chunk = st.integers(-2, 5)
+    colour = st.builds(ChunkColour, chunk, st.integers(0, 9))
+    if draw(st.integers(0, 4)) == 0:  # now and then a record of another kind
+        colour = colour | st.builds(OverflowColour, st.integers(0, 3))
+    records = draw(st.lists(st.tuples(st.builds(Edge, vertex, vertex), colour), max_size=80))
+    return transcript_of(records, n=13)
+
+
+class TestChunkConcentrationColumns:
+    @settings(deadline=None, max_examples=300)
+    @given(transcript=chunk_transcripts())
+    def test_matches_record_loop(self, transcript):
+        # repr compares the floats bit for bit, and the rows in order
+        assert repr(outcome(chunk_concentration, transcript)) == repr(
+            outcome(concentration_loop, transcript)
+        )
+
+    def test_chunk_cli_sized_stream(self):
+        header, edges = generate(CompleteGraph(60), UniformRandomPermutation(), 3)
+        transcript = run_stream(ChunkColorer(ChunkConfig(n=60, alpha=3)), edges, header)
+        summary = chunk_concentration(transcript)
+        assert summary.num_chunks == 4
+        assert repr(summary) == repr(concentration_loop(transcript))
 
 
 class TestColourBudget:
