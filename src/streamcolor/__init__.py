@@ -4,7 +4,9 @@ Two colourers cover the two arrival models: :class:`ChunkColorer` buffers a
 random-order stream into fixed-size chunks and colours each offline under a
 fresh palette; :class:`BipartiteColorer` routes each edge of an adversarial
 stream into one of s bipartite slices by random node signatures and colours
-it from a pair of per-node counters.  Stream generators, a worst-case
+it from a pair of per-node counters.  Both, and the greedy baseline, are
+:class:`StreamColorer` subclasses: one feed/finish contract, checked in one
+place, that :func:`run_stream` drives.  Stream generators, a worst-case
 adversary with access to the colourer's randomness, a transcript verifier,
 and a space meter round out the toolkit.
 """
@@ -20,6 +22,7 @@ from .core import (
     Edge,
     OverflowColour,
     SpaceMeter,
+    StreamColorer,
     StreamHeader,
     Transcript,
     TranscriptParseError,

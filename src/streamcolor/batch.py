@@ -308,15 +308,25 @@ def chunk_degrees(transcript: Transcript) -> tuple[int, list]:
 
 def same_edge_multiset(edges: list[Edge], transcript: Transcript) -> bool:
     """Whether ``transcript`` announces each of ``edges`` exactly as often as
-    it occurs there, endpoints in either order: the sorted canonical keys
-    ``min * base + max`` of both sides are equal, ``base`` exceeding every
-    endpoint.  Every endpoint must be non-negative."""
+    it occurs there, endpoints in either order: the canonical ``(min, max)``
+    pairs of both sides, sorted, are equal.  Where every key
+    ``min * base + max`` fits in int64, ``base`` exceeding every endpoint,
+    one sort of the keys compares them; otherwise the pairs are compared
+    exactly.  Every endpoint must be non-negative."""
     k = len(edges)
     if k != len(transcript):
         return False
-    uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * k).reshape(k, 2)
+    try:
+        uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * k).reshape(k, 2)
+    except OverflowError:  # an endpoint beyond int64, which no transcript holds
+        return False
     u, v, *_ = _columns(transcript)
     lo = np.concatenate([uv.min(axis=1), np.minimum(u, v)])
     hi = np.concatenate([uv.max(axis=1), np.maximum(u, v)])
-    keys = lo * (int(hi.max(initial=0)) + 1) + hi
-    return np.array_equal(np.sort(keys[:k]), np.sort(keys[k:]))
+    base = int(hi.max(initial=0)) + 1
+    if base * base <= 1 << 63:  # the largest key, base * base - 1, fits
+        keys = lo * base + hi
+        return np.array_equal(np.sort(keys[:k]), np.sort(keys[k:]))
+    pairs = np.stack([lo, hi], axis=1)
+    by_lo_then_hi = [side[np.lexsort((side[:, 1], side[:, 0]))] for side in (pairs[:k], pairs[k:])]
+    return np.array_equal(*by_lo_then_hi)

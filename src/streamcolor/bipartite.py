@@ -28,15 +28,13 @@ from itertools import islice
 from .core import (
     ColourId,
     ConfigurationError,
-    ContractViolation,
     Edge,
     OverflowColour,
-    SpaceMeter,
+    StreamColorer,
     StreamHeader,
     Transcript,
     TripleColour,
     ValidationError,
-    checked_edge,
 )
 from .rng import MASK64, SplitMix64
 
@@ -58,7 +56,7 @@ def _select_bit(word: int, rank: int) -> int:
         offset += 64
 
 
-class BipartiteColorer:
+class BipartiteColorer(StreamColorer):
     """Sequential state machine; announcements are immediate, one per edge.
 
     The meter charges the worst-case n*s counter words up front, which is the
@@ -75,14 +73,11 @@ class BipartiteColorer:
         seed: int,
         expose_randomness: bool = False,
     ):
-        if n < 1:
-            raise ValidationError(f"vertex count must be >= 1, got {n}")
+        super().__init__(n)
         if s < 1:
             raise ValidationError(f"signature width must be >= 1, got {s}")
-        self.n = n
         self.s = s
         self._exposed = expose_randomness
-        self.meter = SpaceMeter()
 
         stream = SplitMix64(seed)
         self._signatures = [stream.bits(s) for _ in range(n)]
@@ -90,7 +85,6 @@ class BipartiteColorer:
         self._counters = array("q", [0]) * (n * s)  # u*s + i -> uses of i at u
         self._overflow_serial = 0
         self._signature_limbs = None  # (n, ceil(s/64)) uint64, built by the batch kernels
-        self.finished = False
 
         # one signature word per node, the overflow serial, n*s counters
         self.meter.charge(n + 1 + n * s)
@@ -105,10 +99,8 @@ class BipartiteColorer:
             raise ValidationError(f"vertex {u} out of range for n={self.n}")
         return self._signatures[u]
 
-    def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
-        if self.finished:
-            raise ContractViolation("feed after finish")
-        u, v = edge = checked_edge(edge, self.n)
+    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        u, v = edge
         diff = self._signatures[u] ^ self._signatures[v]
         count = diff.bit_count()
         if count == 0:
@@ -145,12 +137,6 @@ class BipartiteColorer:
                     out.extend(self.feed(block[start]))
                     start += 1
         return out
-
-    def finish(self) -> list[tuple[Edge, ColourId]]:
-        if self.finished:
-            raise ContractViolation("finish called twice")
-        self.finished = True
-        return []
 
     @property
     def overflow_count(self) -> int:

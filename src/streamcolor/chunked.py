@@ -13,15 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import (
-    ChunkColour,
-    ColourId,
-    ContractViolation,
-    Edge,
-    SpaceMeter,
-    ValidationError,
-    checked_edge,
-)
+from .core import ChunkColour, ColourId, Edge, StreamColorer, ValidationError
 from .offline import AdjacencyGraph, color_vizing, take_free_colour
 
 
@@ -43,7 +35,7 @@ class ChunkConfig:
         return self.alpha * self.alpha * self.n
 
 
-class ChunkColorer:
+class ChunkColorer(StreamColorer):
     """Sequential state machine: feed(edge) buffers, flushes announce.
 
     Each chunk is coloured offline with the max_degree + 1 colourer, which is
@@ -51,19 +43,15 @@ class ChunkColorer:
     """
 
     def __init__(self, config: ChunkConfig):
+        super().__init__(config.n)
         self.config = config
         self._buffer: list[Edge] = []
         self.chunk_index = 0
-        self.finished = False
-        self.meter = SpaceMeter()
-        self.peak_buffered_edges = 0
         # fixed bookkeeping: capacity, fill count, chunk counter
         self.meter.charge(3)
 
-    def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
-        if self.finished:
-            raise ContractViolation("feed after finish")
-        self._buffer.append(checked_edge(edge, self.config.n))
+    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        self._buffer.append(edge)
         self.meter.charge(2)  # two endpoint words per buffered edge
         if len(self._buffer) > self.peak_buffered_edges:
             self.peak_buffered_edges = len(self._buffer)
@@ -71,11 +59,8 @@ class ChunkColorer:
             return self._flush()
         return []
 
-    def finish(self) -> list[tuple[Edge, ColourId]]:
+    def _drain(self) -> list[tuple[Edge, ColourId]]:
         """Colour the residual partial chunk, if any, under a fresh palette."""
-        if self.finished:
-            raise ContractViolation("finish called twice")
-        self.finished = True
         if not self._buffer:
             return []
         return self._flush()
@@ -91,7 +76,7 @@ class ChunkColorer:
         # per edge of the support graph
         workspace = 3 * len(support)
         self.meter.charge(workspace)
-        graph = AdjacencyGraph.from_edges(self.config.n, support)
+        graph = AdjacencyGraph.from_edges(self.n, support)
         local = color_vizing(graph)
 
         if len(support) != len(chunk):

@@ -1,10 +1,11 @@
 """Core types shared by every module: edges, colours, transcripts, the space
-meter, and the two plain-text file formats.
+meter, the colourer contract, and the two plain-text file formats.
 
 An input stream is a :class:`StreamHeader` plus an ordered list of
-:class:`Edge`.  A colourer consumes the stream and produces a
-:class:`Transcript`: the ordered (edge, colour) announcements it wrote to its
-output stream.  Colours live in one of three disjoint namespaces:
+:class:`Edge`.  A colourer, a :class:`StreamColorer`, consumes the stream and
+produces a :class:`Transcript`: the ordered (edge, colour) announcements it
+wrote to its output stream; :func:`run_stream` drives one over a whole
+stream.  Colours live in one of three disjoint namespaces:
 
 * ``ChunkColour(chunk, local)`` for the chunk-buffered colourer, one palette
   per flushed chunk,
@@ -27,7 +28,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -177,16 +178,12 @@ class Transcript:
         self._view: list[tuple[Edge, ColourId]] = []
         self.extend(records)
 
-    def extend(self, records: Iterable[tuple[Edge, ColourId]] | Transcript) -> None:
-        """Append ``records`` in order: (edge, colour) pairs, or every record
-        of another transcript.  If one pair cannot be held by the columns as
-        itself (its edge is not an ``Edge``, its colour of no known kind, or
-        a field not a plain int in int64 range), ValidationError names the
-        first such pair and nothing is appended."""
-        if isinstance(records, Transcript):
-            for mine, theirs in zip(self.columns, records.columns):
-                mine.extend(theirs)
-            return
+    def extend(self, records: Iterable[tuple[Edge, ColourId]]) -> None:
+        """Append the (edge, colour) pairs ``records`` in order.  If one pair
+        cannot be held by the columns as itself (its edge is not an ``Edge``,
+        its colour of no known kind, or a field not a plain int in int64
+        range), ValidationError names the first such pair and nothing is
+        appended."""
         records = list(records)
         kinds = {type(colour) for _, colour in records}
         if len(kinds) == 1 and {type(edge) for edge, _ in records} == {Edge}:
@@ -301,24 +298,61 @@ class SpaceMeter:
         self.current_words -= words
 
 
-def run_stream(colorer, edges: Iterable[Edge], header: StreamHeader) -> Transcript:
-    """Feed ``edges`` through a colourer and collect its announcements.
+class StreamColorer:
+    """A one-pass colourer: it sees each edge once, in stream order, and has
+    announced a colour for every edge once the stream ends.
 
-    A colourer is any object with ``feed(edge) -> list`` and
-    ``finish() -> list`` returning (edge, colour) announcements.  One that
-    also has ``feed_many(edges) -> Transcript``, announcing what ``feed``
-    would on each edge in turn, gets the whole stream through it.
+    ``feed(edge)`` returns the (edge, colour) announcements the edge
+    triggers, possibly none; ``finish()`` ends the stream and returns the
+    rest.  This class makes the contract's checks: ``n`` at construction,
+    each fed edge through :func:`checked_edge`, no ``feed`` after ``finish``
+    and no second ``finish``.  A subclass charges its state to ``meter`` and
+    writes ``_take(edge)``, which gets the checked edge with its smaller
+    endpoint first; it may write ``_drain()`` for what ``finish`` announces
+    and a faster ``feed_many``.
     """
-    transcript = Transcript(header)
-    feed_many = getattr(colorer, "feed_many", None)
-    if feed_many is not None:
-        transcript.extend(feed_many(edges))
-    else:
-        announced = []
+
+    peak_buffered_edges = 0  # most edges held unannounced at one time
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValidationError(f"vertex count must be >= 1, got {n}")
+        self.n = n
+        self.meter = SpaceMeter()
+        self.finished = False
+
+    def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        if self.finished:
+            raise ContractViolation("feed after finish")
+        return self._take(checked_edge(edge, self.n))
+
+    def finish(self) -> list[tuple[Edge, ColourId]]:
+        if self.finished:
+            raise ContractViolation("finish called twice")
+        self.finished = True
+        return self._drain()
+
+    def feed_many(self, edges: Iterable[Edge]) -> Transcript:
+        """Feed ``edges`` in order and return their announcements as a
+        transcript on ``n`` vertices."""
+        announced: list[tuple[Edge, ColourId]] = []
         for edge in edges:
-            announced += colorer.feed(edge)
-        transcript.extend(announced)
+            announced += self.feed(edge)
+        return Transcript(StreamHeader(self.n), announced)
+
+    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        raise NotImplementedError
+
+    def _drain(self) -> list[tuple[Edge, ColourId]]:
+        return []
+
+
+def run_stream(colorer: StreamColorer, edges: Iterable[Edge], header: StreamHeader) -> Transcript:
+    """Feed ``edges`` through ``colorer``, finish it, and return every
+    announcement in order as a transcript under ``header``."""
+    transcript = colorer.feed_many(edges)
     transcript.extend(colorer.finish())
+    transcript.header = header
     return transcript
 
 
@@ -401,8 +435,19 @@ def _parse_lines(
 
 
 def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
+    """Read a stream file.  A header that gives ``m`` must be followed by
+    exactly ``m`` edge lines."""
     header, lines = _parse_lines(path, "u v")
-    return header, [edge for _, edge, _ in lines]
+    edges = [edge for _, edge, _ in islice(lines, header.m)]
+    if header.m is not None:
+        extra = next(lines, None)
+        if extra is not None:
+            raise TranscriptParseError(f"edge beyond the header's m {header.m}", extra[0])
+        if len(edges) < header.m:
+            raise TranscriptParseError(
+                f"header says m {header.m} but the file has {len(edges)} edges", 1
+            )
+    return header, edges
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:

@@ -19,13 +19,11 @@ from .chunked import ChunkColorer, ChunkConfig
 from .core import (
     ChunkColour,
     ColourId,
-    ContractViolation,
     Edge,
-    SpaceMeter,
+    StreamColorer,
     StreamHeader,
     Transcript,
     ValidationError,
-    checked_edge,
     run_stream,
     write_transcript,
 )
@@ -61,34 +59,21 @@ CSV_COLUMNS = [
 ]
 
 
-class GreedyStreamColorer:
+class GreedyStreamColorer(StreamColorer):
     """Online greedy baseline: smallest colour unused at both endpoints,
     announced immediately.  Uses at most 2*max_degree - 1 colours but stores
     every vertex's colour set, so its live space grows with the edge count;
     the meter makes that cost visible."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValidationError(f"vertex count must be >= 1, got {n}")
-        self.n = n
+        super().__init__(n)
         self._used: defaultdict[int, set[int]] = defaultdict(set)
-        self.meter = SpaceMeter()
         self.meter.charge(1)
-        self.finished = False
 
-    def feed(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
-        if self.finished:
-            raise ContractViolation("feed after finish")
-        e = checked_edge(edge, self.n)
-        c = take_free_colour(self._used[e.u], self._used[e.v])
+    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        c = take_free_colour(self._used[edge.u], self._used[edge.v])
         self.meter.charge(2)  # one colour word per endpoint set
-        return [(e, ChunkColour(0, c))]
-
-    def finish(self) -> list[tuple[Edge, ColourId]]:
-        if self.finished:
-            raise ContractViolation("finish called twice")
-        self.finished = True
-        return []
+        return [(edge, ChunkColour(0, c))]
 
 
 @dataclass
@@ -128,7 +113,7 @@ def _make_colorer(spec: ExperimentSpec, n: int, seed: int):
 
 
 def colour_pass(
-    row: dict, colorer, param: int, header: StreamHeader, edges: list[Edge],
+    row: dict, colorer: StreamColorer, param: int, header: StreamHeader, edges: list[Edge],
     started: float, save: Callable[[Transcript], None] | None = None,
 ) -> tuple[Transcript, VerificationReport]:
     """The one step behind every CSV row, for ``run_single`` and
@@ -154,7 +139,7 @@ def colour_pass(
             (st.max_degree for st in report.per_palette_stats.values()), default=0
         ),
         peak_words=colorer.meter.peak_words,
-        peak_buffered_edges=getattr(colorer, "peak_buffered_edges", 0),
+        peak_buffered_edges=colorer.peak_buffered_edges,
         proper=int(report.proper and in_budget),
     )
     if save is not None:

@@ -6,11 +6,12 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamcolor
@@ -30,7 +31,7 @@ from streamcolor import (
 )
 from streamcolor import bipartite
 from streamcolor.rng import MASK64, SplitMix64
-from streamcolor.batch import verify_columns
+from streamcolor.batch import same_edge_multiset, verify_columns
 from streamcolor.verify import _verify_scalar
 
 WIDTHS = (1, 2, 3, 4, 16, 63, 64, 65, 130, 275)
@@ -167,12 +168,13 @@ def test_import_and_construction_leave_numpy_unloaded():
         "import sys, streamcolor as sc, streamcolor.cli\n"
         "sc.BipartiteColorer(64, 16, 0)\n"
         "sc.BipartiteColorer(64, 130, 1, expose_randomness=True)\n"
-        "sc.ChunkColorer(sc.ChunkConfig(n=64, alpha=2))\n"
-        "sc.GreedyStreamColorer(64)\n"
         "t = sc.Transcript(sc.StreamHeader(4), [(sc.Edge(0, 1), sc.ChunkColour(0, 0))])\n"
         "t.extend([(sc.Edge(1, 2), sc.TripleColour(0, 1, 0))])\n"
-        "t.extend(t)\n"
-        "assert len(t) == len(t.records) == 4\n"
+        "assert len(t) == len(t.records) == 2\n"
+        "edges = [sc.Edge(u, v) for u in range(6) for v in range(u + 1, 6)] * 2\n"
+        "for c in (sc.ChunkColorer(sc.ChunkConfig(n=6, alpha=1)), sc.GreedyStreamColorer(6)):\n"
+        "    t = sc.run_stream(c, edges, sc.StreamHeader(6))\n"
+        "    assert len(t) == len(t.records) == len(edges)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(streamcolor.__file__).resolve().parents[1]))
@@ -290,3 +292,38 @@ class TestCheckBipartition:
         got = outcome(check_bipartition, transcript, colorer)
         assert got[0] is ValidationError
         assert repr(got) == repr(outcome(bit_loop, transcript, colorer))
+
+
+# ---------------------------------------------------------------------------
+# streamcolor verify's edge check
+
+
+@st.composite
+def announced_streams(draw):
+    """A stream and a transcript announcing it rearranged, some endpoints
+    swapped, sometimes one record changed.  Ids up to 2**33 or 2**63 - 1
+    would wrap a key ``min * base + max`` in int64."""
+    top = draw(st.sampled_from((7, 1 << 33, (1 << 63) - 1)))
+    pool = draw(st.lists(st.integers(0, top), min_size=2, max_size=5, unique=True))
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in draw(st.lists(pair, max_size=12))]
+    announced = [Edge(v, u) if draw(st.booleans()) else Edge(u, v)
+                 for u, v in draw(st.permutations(edges))]
+    if announced and draw(st.booleans()):
+        announced[draw(st.integers(0, len(announced) - 1))] = Edge(*draw(pair))
+    records = [(edge, ChunkColour(0, i)) for i, edge in enumerate(announced)]
+    return edges, Transcript(StreamHeader(top + 1), records)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=announced_streams())
+@example(case=([Edge(0, (1 << 33) - 1)],
+               Transcript(StreamHeader(1 << 33), [(Edge(1 << 31, (1 << 33) - 1), ChunkColour(0, 0))])))
+def test_same_edge_multiset_matches_counter(case):
+    edges, transcript = case
+
+    def canonical(pairs):
+        return Counter((min(u, v), max(u, v)) for u, v in pairs)
+
+    want = canonical(edges) == canonical(edge for edge, _ in transcript.records)
+    assert same_edge_multiset(edges, transcript) == want

@@ -132,6 +132,36 @@ def test_malformed_value_exits_two(out_env, capsys, argv):
     assert captured.out == ""  # rejected before any run
 
 
+def test_truncated_stream_exits_two(out_env, capsys):
+    main(["generate", "--family", "complete:8", "--order", "random", "--seed", "1", "-o", "g.el"])
+    lines = (out_env / "g.el").read_text().splitlines(keepends=True)
+    (out_env / "cut.el").write_text("".join(lines[:11]))  # the header says m 28
+    main(["run", "--algo", "chunk", "--alpha", "1", "--graph", str(out_env / "g.el"), "-o", "t.tr"])
+    capsys.readouterr()
+    for argv in (["run", "--algo", "chunk", "--alpha", "1", "--graph", str(out_env / "cut.el")],
+                 ["verify", str(out_env / "t.tr"), str(out_env / "cut.el")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 1: header says m 28 but the file has 10 edges\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "n, graph_edge, announced",
+    [
+        # keyed as min * 2**33 + max, the announced edge wraps int64 onto the input's
+        (1 << 33, f"0 {(1 << 33) - 1}", f"{1 << 31} {(1 << 33) - 1}"),
+        (1 << 64, f"0 {1 << 63}", "0 1"),  # no transcript holds an id beyond int64
+    ],
+    ids=["packed-key-wraps", "beyond-int64"],
+)
+def test_verify_compares_large_ids_exactly(out_env, capsys, n, graph_edge, announced):
+    (out_env / "g.el").write_text(f"n {n}\n{graph_edge}\n")
+    (out_env / "t.tr").write_text(f"n {n}\n{announced} c:0:0\n")
+    assert main(["verify", str(out_env / "t.tr"), str(out_env / "g.el")]) == 1
+    assert "covers input edge multiset: False" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "algo, flags, expected",
     [

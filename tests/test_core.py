@@ -162,9 +162,6 @@ class TestTranscript:
         assert repr(list(t.records)) == repr(records)
         assert t.records == records
         assert repr(list(Transcript(StreamHeader(4), [*t.records]).records)) == repr(records)
-        copy = Transcript(StreamHeader(4))
-        copy.extend(t)
-        assert copy.records == records
         assert t.distinct_colours() == len({colour for _, colour in records})
 
     def test_view_follows_the_columns(self):
@@ -269,6 +266,21 @@ class TestFileFormats:
                 reader(path)
             assert err.value.line_no == 4
             assert str(err.value) == "line 4: " + message.format(shape=shape, text=text)
+
+    @pytest.mark.parametrize(
+        "body, line_no, message",
+        [
+            ("0 1\n\n2 3\n", 1, "header says m 3 but the file has 2 edges"),
+            ("0 1\n1 2\n2 3\n\n3 4\n", 6, "edge beyond the header's m 3"),
+        ],
+        ids=["too-few", "too-many"],
+    )
+    def test_edge_lines_must_number_the_headers_m(self, tmp_path, body, line_no, message):
+        path = tmp_path / "g.el"
+        path.write_text("n 5 m 3\n" + body)
+        with pytest.raises(TranscriptParseError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"line {line_no}: {message}"
 
     @pytest.mark.parametrize("reader", [read_edge_list, read_transcript])
     def test_empty_file_rejected(self, tmp_path, reader):

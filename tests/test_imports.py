@@ -1,0 +1,33 @@
+"""Every name a module of the package imports is used in that module (no
+linter is required to run the suite, so this stands in for one)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import streamcolor
+
+MODULES = sorted(
+    path for path in Path(streamcolor.__file__).resolve().parent.glob("*.py")
+    if path.name != "__init__.py"  # re-exports
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue  # imported for others to find, such as a tracer that patches it
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}
