@@ -54,9 +54,10 @@ from .generators import (
     parse_family,
     parse_order,
 )
-from .harness import ExperimentSpec, GreedyStreamColorer, run_experiment, run_single
+from .harness import ExperimentSpec, run_experiment, run_single
 from .offline import (
     AdjacencyGraph,
+    GreedyStreamColorer,
     chromatic_index_bruteforce,
     color_greedy,
     color_vizing,

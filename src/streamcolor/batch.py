@@ -277,9 +277,9 @@ def across_slices(transcript: Transcript, colorer: BipartiteColorer) -> bool:
 def chunk_degrees(transcript: Transcript) -> tuple[int, list]:
     """``chunk_concentration``'s counts on the columns: the number of chunks,
     and for each (chunk, vertex) pair an endpoint meets, in that sorted
-    order, ``(chunk, vertex, degree in the chunk, degree, chunk size)``.
-    The first record that is not chunk-coloured, or is a self-loop or has a
-    negative vertex, raises as in the record-by-record loop."""
+    order, ``(degree in the chunk, degree, chunk size)``.  The first record
+    that is not chunk-coloured, or is a self-loop or has a negative vertex,
+    raises as in the record-by-record loop."""
     u, v, kind, chunk, _, _ = _columns(transcript)
     bad = np.flatnonzero((kind != 0) | (np.minimum(u, v) < 0) | (u == v))
     if len(bad):
@@ -297,8 +297,6 @@ def chunk_degrees(transcript: Transcript) -> tuple[int, list]:
     vertices, degree = np.unique(ends, return_counts=True)
     chunk_ids, size = np.unique(chunk, return_counts=True)
     rows = (
-        chunks[first],
-        ends[first],
         np.diff(first, append=len(ends)),
         degree[np.searchsorted(vertices, ends[first])],
         size[np.searchsorted(chunk_ids, chunks[first])],

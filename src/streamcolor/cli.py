@@ -33,9 +33,9 @@ from .generators import (
     parse_order,
 )
 from .harness import (
+    ALGORITHMS,
     CSV_COLUMNS,
     ExperimentSpec,
-    GreedyStreamColorer,
     colour_pass,
     rows_to_csv,
     run_experiment,
@@ -74,19 +74,16 @@ def _cmd_run(args) -> int:
     if args.algo == "chunk":
         param = args.alpha if args.alpha is not None else default_alpha(n)
         colorer = ChunkColorer(ChunkConfig(n=n, alpha=param))
-    elif args.algo == "bipartite":
+    else:
         param = args.s if args.s is not None else default_signature_bits(n)
         colorer = BipartiteColorer(n, param, seed)
-    else:
-        colorer, param = GreedyStreamColorer(n), 0
     out = _resolve(args.output, "run.transcript")
     row = {"algo": args.algo, "family": args.graph, "order": "as-given", "seed": seed}
-    _, report = colour_pass(row, colorer, param, header, edges, started,
-                            partial(write_transcript, out))
+    colour_pass(row, colorer, param, header, edges, started, partial(write_transcript, out))
     _emit_csv([row], args.csv)
     print(
         f"{args.algo}: {row['colours']} colours on m={row['m']} "
-        f"max_degree={row['max_degree']}, proper={report.proper}, "
+        f"max_degree={row['max_degree']}, proper={row['proper'] == 1}, "
         f"peak_words={row['peak_words']}, transcript: {out}"
     )
     return 0 if row["proper"] else 1
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="colour a stream file and verify the transcript")
-    p.add_argument("--algo", choices=("chunk", "bipartite", "greedy-baseline"), required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--alpha", type=int, help="chunk scale (default ceil(log2 n))")
     p.add_argument("--s", type=int, help="signature bits (default ceil(36 ln n))")
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a seed/parameter sweep and emit CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--order", default="random")
-    p.add_argument("--algo", choices=("chunk", "bipartite", "greedy-baseline"), required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
     p.add_argument("--alpha", help="comma list or lo..hi, chunk only")
     p.add_argument("--s", help="comma list or lo..hi, bipartite only")
     p.add_argument("--seeds", default="0..4")

@@ -8,7 +8,6 @@ reproducibility comparison.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -17,8 +16,6 @@ from pathlib import Path
 from .bipartite import BipartiteColorer
 from .chunked import ChunkColorer, ChunkConfig
 from .core import (
-    ChunkColour,
-    ColourId,
     Edge,
     StreamColorer,
     StreamHeader,
@@ -34,9 +31,9 @@ from .generators import (
     default_signature_bits,
     generate,
 )
-from .offline import take_free_colour
 from .verify import VerificationReport, colour_budget, verify
 
+ALGORITHMS = ("chunk", "bipartite")  # the paper's two colourers
 CSV_VERSION = "streamcolor-csv-1"
 CSV_COLUMNS = [
     "algo",
@@ -59,35 +56,18 @@ CSV_COLUMNS = [
 ]
 
 
-class GreedyStreamColorer(StreamColorer):
-    """Online greedy baseline: smallest colour unused at both endpoints,
-    announced immediately.  Uses at most 2*max_degree - 1 colours but stores
-    every vertex's colour set, so its live space grows with the edge count;
-    the meter makes that cost visible."""
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._used: defaultdict[int, set[int]] = defaultdict(set)
-        self.meter.charge(1)
-
-    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
-        c = take_free_colour(self._used[edge.u], self._used[edge.v])
-        self.meter.charge(2)  # one colour word per endpoint set
-        return [(edge, ChunkColour(0, c))]
-
-
 @dataclass
 class ExperimentSpec:
     family: GraphFamily
     order: ArrivalOrder
-    algo: str  # "chunk" | "bipartite" | "greedy-baseline"
+    algo: str  # one of ALGORITHMS
     seeds: list[int]
     alpha: int | None = None  # chunk scale; default ceil(log2 n)
     s: int | None = None  # signature width; default ceil(36 ln n)
     out_dir: Path | None = None  # transcripts written here when set
 
     def __post_init__(self):
-        if self.algo not in ("chunk", "bipartite", "greedy-baseline"):
+        if self.algo not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algo!r}")
         if not self.seeds:
             raise ValidationError("at least one seed is required")
@@ -95,8 +75,6 @@ class ExperimentSpec:
             raise ValidationError("s is a bipartite parameter")
         if self.algo == "bipartite" and self.alpha is not None:
             raise ValidationError("alpha is a chunk parameter")
-        if self.algo == "greedy-baseline" and (self.alpha, self.s) != (None, None):
-            raise ValidationError("greedy-baseline takes neither alpha nor s")
         for name, value in (("alpha", self.alpha), ("s", self.s)):
             if value is not None and value < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {value}")
@@ -106,10 +84,8 @@ def _make_colorer(spec: ExperimentSpec, n: int, seed: int):
     if spec.algo == "chunk":
         alpha = spec.alpha if spec.alpha is not None else default_alpha(n)
         return ChunkColorer(ChunkConfig(n=n, alpha=alpha)), alpha
-    if spec.algo == "bipartite":
-        s = spec.s if spec.s is not None else default_signature_bits(n)
-        return BipartiteColorer(n, s, seed), s
-    return GreedyStreamColorer(n), 0
+    s = spec.s if spec.s is not None else default_signature_bits(n)
+    return BipartiteColorer(n, s, seed), s
 
 
 def colour_pass(
@@ -118,21 +94,22 @@ def colour_pass(
 ) -> tuple[Transcript, VerificationReport]:
     """The one step behind every CSV row, for ``run_single`` and
     ``streamcolor run`` alike: colour ``edges`` with ``colorer``, verify the
-    transcript against the colour budget of ``row["algo"]``, hand it to
-    ``save`` and fill ``row``'s measured columns.  ``wall_time_s`` runs from
-    ``started``, taken before the stream was generated or read, until the
-    transcript is saved."""
-    algo = row["algo"]
+    transcript, hand it to ``save`` and fill ``row``'s measured columns.
+    ``proper`` is 1 only if the transcript is proper, keeps the colour
+    budget of ``row["algo"]`` and announces exactly the multiset of
+    ``edges``.  ``wall_time_s`` runs from ``started``, taken before the
+    stream was generated or read, until the transcript is saved."""
+    from .batch import same_edge_multiset  # numpy loads on first use
+
     transcript = run_stream(colorer, edges, header)
     report = verify(transcript)
-    # the greedy baseline has no per-run bound; only the bipartite one reads s
-    in_budget = algo == "greedy-baseline" or colour_budget(report, algo, s=param).passed
+    in_budget = colour_budget(report, row["algo"], s=param).passed  # only bipartite reads s
     row.update(
         n=header.n,
         m=len(edges),
         max_degree=report.max_degree,
         param=param,
-        chunks=sum(k[0] == "chunk" for k in report.per_palette_stats) if algo == "chunk" else 0,
+        chunks=sum(k[0] == "chunk" for k in report.per_palette_stats),
         colours=report.distinct_colours,
         overflow=report.overflow_colours,
         max_palette_degree=max(
@@ -140,7 +117,7 @@ def colour_pass(
         ),
         peak_words=colorer.meter.peak_words,
         peak_buffered_edges=colorer.peak_buffered_edges,
-        proper=int(report.proper and in_budget),
+        proper=int(report.proper and in_budget and same_edge_multiset(edges, transcript)),
     )
     if save is not None:
         save(transcript)

@@ -4,15 +4,17 @@
 extends a proper partial colouring one edge at a time and never needs more
 than max_degree + 1 colours.  It is the per-chunk subroutine of the
 chunk-buffered streaming colourer.  ``color_greedy`` is the 2*max_degree - 1
-baseline.  ``chromatic_index_bruteforce`` is an exact backtracking oracle for
-tiny graphs, used by the test suite to certify optimality claims.
+baseline, and ``GreedyStreamColorer`` the same rule announced online.
+``chromatic_index_bruteforce`` is an exact backtracking oracle for tiny
+graphs, used by the test suite to certify optimality claims.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import Edge, ValidationError, canonicalize
+from .core import ChunkColour, ColourId, Edge, StreamColorer, ValidationError, canonicalize
 
 
 @dataclass
@@ -61,6 +63,24 @@ def color_greedy(g: AdjacencyGraph) -> dict[Edge, int]:
     """
     used: list[set[int]] = [set() for _ in range(g.n)]
     return {edge: take_free_colour(used[edge.u], used[edge.v]) for edge in g.edges}
+
+
+class GreedyStreamColorer(StreamColorer):
+    """Online greedy baseline: smallest colour unused at both endpoints,
+    announced immediately.  Uses at most 2*max_degree - 1 colours but stores
+    every vertex's colour set, so its live space grows with the edge count;
+    the meter makes that cost visible.  A library class only: ``run`` and
+    ``sweep`` drive the paper's two colourers."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._used: defaultdict[int, set[int]] = defaultdict(set)
+        self.meter.charge(1)
+
+    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        c = take_free_colour(self._used[edge.u], self._used[edge.v])
+        self.meter.charge(2)  # one colour word per endpoint set
+        return [(edge, ChunkColour(0, c))]
 
 
 def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:

@@ -139,24 +139,16 @@ def _verify_scalar(transcript: Transcript) -> VerificationReport:
 
 
 @dataclass
-class ConcentrationRow:
-    chunk: int
-    vertex: int
-    chunk_degree: int
-    expected: float  # full degree * chunk size / stream length
-
-
-@dataclass
 class ConcentrationSummary:
     num_chunks: int
-    rows: list[ConcentrationRow]
     max_ratio: float
     mean_ratio: float
 
 
 def chunk_concentration(transcript: Transcript) -> ConcentrationSummary:
     """Per-chunk degree of every touched vertex against its share by chunk
-    size: d(u) * |chunk_i| / m, which is d(u) / N when the N chunks are equal.
+    size, d(u) * |chunk_i| / m, which is d(u) / N when the N chunks are
+    equal: the largest and the mean ratio over (chunk, vertex) pairs.
 
     Requires a chunk-colourer transcript: the chunk index of each record is
     the chunk structure.
@@ -165,18 +157,8 @@ def chunk_concentration(transcript: Transcript) -> ConcentrationSummary:
 
     num_chunks, counts = chunk_degrees(transcript)
     m = len(transcript)
-    rows = []
-    ratios = []
-    for chunk, vertex, d_i, degree, size in counts:
-        expected = degree * size / m
-        rows.append(ConcentrationRow(chunk, vertex, d_i, expected))
-        ratios.append(d_i / expected)
-    return ConcentrationSummary(
-        num_chunks=num_chunks,
-        rows=rows,
-        max_ratio=max(ratios),
-        mean_ratio=sum(ratios) / len(ratios),
-    )
+    ratios = [d_i / (degree * size / m) for d_i, degree, size in counts]
+    return ConcentrationSummary(num_chunks, max(ratios), sum(ratios) / len(ratios))
 
 
 @dataclass

@@ -1,12 +1,23 @@
+import io
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import AsGiven, Edge, ExperimentSpec, FromFile, StreamHeader, run_single
+from streamcolor import (
+    AsGiven,
+    Edge,
+    ExperimentSpec,
+    FromFile,
+    StreamHeader,
+    ValidationError,
+    parse_colour,
+    run_single,
+)
 from streamcolor.cli import main
 from streamcolor.core import read_edge_list, read_transcript, write_edge_list
 from streamcolor.harness import CSV_COLUMNS, rows_to_csv
@@ -110,15 +121,13 @@ def test_usage_error_exit_code_two(out_env):
         ["run", "--algo", "chunk", "--graph", "."],  # a directory
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--s", "5", "--seeds", "0"],
         ["sweep", "--family", "complete:4", "--algo", "bipartite", "--alpha", "2", "--seeds", "0"],
-        ["sweep", "--family", "complete:4", "--algo", "greedy-baseline", "--s", "5", "--seeds", "0"],
-        ["sweep", "--family", "complete:4", "--algo", "greedy-baseline", "--alpha", "2", "--seeds", "0"],
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "0", "--seeds", "0"],
         ["sweep", "--family", "complete:4", "--algo", "bipartite", "--s", "0", "--seeds", "0"],
         ["verify", "{out}/bad.tr", "{out}/g.el"],
     ],
     ids=["order-seed", "sorted-junk", "as-given-junk", "seed-list", "alpha-range",
-         "graph-directory", "chunk-s", "bipartite-alpha", "greedy-s", "greedy-alpha",
-         "alpha-zero", "s-zero", "transcript-endpoint"],
+         "graph-directory", "chunk-s", "bipartite-alpha", "alpha-zero", "s-zero",
+         "transcript-endpoint"],
 )
 def test_malformed_value_exits_two(out_env, capsys, argv):
     # vertices 7 and 9 are out of range for the 4-vertex graph
@@ -130,6 +139,22 @@ def test_malformed_value_exits_two(out_env, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""  # rejected before any run
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "greedy-baseline", "--graph", "g.el"],
+        ["sweep", "--family", "complete:4", "--algo", "greedy-baseline", "--seeds", "0"],
+    ],
+    ids=["run", "sweep"],
+)
+def test_greedy_baseline_is_a_usage_error(capsys, argv):
+    # the pipeline runs the paper's two colourers; the baseline is a library class
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "argument --algo: invalid choice: 'greedy-baseline'" in capsys.readouterr().err
 
 
 def test_truncated_stream_exits_two(out_env, capsys):
@@ -163,18 +188,17 @@ def test_verify_compares_large_ids_exactly(out_env, capsys, n, graph_edge, annou
 
 
 @pytest.mark.parametrize(
-    "algo, flags, expected",
+    "alpha, expected",
     [
-        ("greedy-baseline", [], "chunk concentration: not measured over a single chunk"),
-        ("chunk", ["--alpha", "8"], "chunk concentration: not measured over a single chunk"),
-        ("chunk", ["--alpha", "2"], "chunk concentration over 2 chunks: "),
+        ("8", "chunk concentration: not measured over a single chunk"),
+        ("2", "chunk concentration over 2 chunks: "),
     ],
-    ids=["greedy-baseline", "one-chunk", "two-chunks"],
+    ids=["one-chunk", "two-chunks"],
 )
-def test_verify_reports_concentration_only_over_chunks(out_env, capsys, algo, flags, expected):
+def test_verify_reports_concentration_only_over_chunks(out_env, capsys, alpha, expected):
     # complete:12 has 66 edges; a chunk holds alpha^2 * 12 of them
     main(["generate", "--family", "complete:12", "--order", "random", "--seed", "0", "-o", "g.el"])
-    main(["run", "--algo", algo, *flags, "--graph", str(out_env / "g.el"), "-o", "t.tr"])
+    main(["run", "--algo", "chunk", "--alpha", alpha, "--graph", str(out_env / "g.el"), "-o", "t.tr"])
     capsys.readouterr()
     assert main(["verify", str(out_env / "t.tr"), str(out_env / "g.el")]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "concentration" in line]
@@ -186,9 +210,8 @@ def test_verify_reports_concentration_only_over_chunks(out_env, capsys, algo, fl
     [
         ("chunk", ["--alpha", "1"], {"alpha": 1}),
         ("bipartite", ["--s", "8"], {"s": 8}),
-        ("greedy-baseline", [], {}),
     ],
-    ids=["chunk", "bipartite", "greedy-baseline"],
+    ids=["chunk", "bipartite"],
 )
 def test_run_row_matches_harness_row(out_env, algo, flags, spec_param):
     main(["generate", "--family", "gnp:40:0.3", "--order", "random", "--seed", "7",
@@ -227,6 +250,96 @@ def test_run_and_verify_streams_with_repeated_edges(data):
         assert main(["verify", str(out), str(graph)]) == 0
         announced = [tuple(edge) for edge, _ in read_transcript(out).records]
     assert Counter(announced) == Counter(tuple(sorted(e)) for e in edges)
+
+
+def main_quietly(argv):
+    """``main``'s exit code and what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+TOKEN = st.text(alphabet="0123456789-:cotx", min_size=1, max_size=6)
+
+
+def _unparseable(text):
+    try:
+        parse_colour(text)
+    except ValidationError:
+        return True
+    return False
+
+
+def garbage_lines(n, colours):
+    """Non-blank lines that the reader of a stream file, or of a transcript
+    when ``colours``, on ``n`` vertices rejects, none of them a header."""
+    width = 3 if colours else 2
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    far = st.integers(n, 1 << 70) | st.integers(-(1 << 70), -1)
+    not_int = TOKEN.filter(lambda t: not t.lstrip("-").isdigit())
+    tail = " c:0:0" if colours else ""
+    lines = [
+        st.lists(TOKEN, min_size=1, max_size=5).filter(lambda ts: len(ts) != width).map(" ".join),
+        st.tuples(not_int, vertex).map(lambda t: f"{t[0]} {t[1]}{tail}"),
+        st.tuples(vertex, not_int).map(lambda t: f"{t[0]} {t[1]}{tail}"),
+        vertex.map(lambda x: f"{x} {x}{tail}"),  # self-loop
+        st.tuples(vertex, far).map(lambda t: f"{t[0]} {t[1]}{tail}"),
+        st.tuples(far, vertex).map(lambda t: f"{t[0]} {t[1]}{tail}"),
+    ]
+    if colours:
+        wide = st.integers(1 << 63, 1 << 70) | st.integers(-(1 << 70), -(1 << 63) - 1)
+        lines += [
+            st.tuples(pair, TOKEN.filter(_unparseable)).map(lambda t: f"{t[0][0]} {t[0][1]} {t[1]}"),
+            st.tuples(pair, wide).map(lambda t: f"{t[0][0]} {t[0][1]} c:{t[1]}:0"),  # beyond int64
+        ]
+    return st.one_of(lines)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), colours=st.booleans())
+def test_garbage_line_exits_two_naming_it(data, colours):
+    # a few valid lines, blanks among them, and one garbage line, which may be the header
+    n = 6
+    body = data.draw(st.lists(st.sampled_from(["0 1", "2 3", "5 1", ""]), max_size=6))
+    body = [f"{line} c:0:{i}" if line and colours else line for i, line in enumerate(body)]
+    lines = [f"n {n}", *body]
+    at = data.draw(st.integers(0, len(lines)))
+    garbage = data.draw(garbage_lines(n, colours))
+    if at == 0:
+        lines[0] = garbage
+    else:
+        lines.insert(at, garbage)
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad = Path(tmp) / "g.el", Path(tmp) / "bad"
+        good.write_text(f"n {n}\n0 1\n")
+        bad.write_text("\n".join(lines) + "\n")
+        if colours:
+            argv = ["verify", str(bad), str(good)]
+        else:
+            argv = ["run", "--algo", "chunk", "--graph", str(bad), "-o", str(Path(tmp) / "t.tr")]
+        rc, out, err = main_quietly(argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: line {at + 1}: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_run_and_verify_multi_limb_signatures(data):
+    # s > 64 spreads each vertex's signature over several 64-bit limbs
+    n = data.draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in data.draw(st.lists(pair, min_size=1, max_size=40))]
+    s, seed = data.draw(st.integers(65, 200)), data.draw(st.integers(0, 99))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, out = Path(tmp) / "g.el", Path(tmp) / "t.tr"
+        write_edge_list(graph, StreamHeader(n), edges)
+        run = ["run", "--algo", "bipartite", "--s", str(s), "--seed", str(seed),
+               "--graph", str(graph), "-o", str(out)]
+        assert main_quietly(run)[0] == 0
+        assert main_quietly(["verify", str(out), str(graph)])[0] == 0
 
 
 def test_argparse_usage_error(capsys):

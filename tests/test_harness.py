@@ -1,17 +1,22 @@
+import time
+
 import pytest
 
 from streamcolor import (
+    ChunkColorer,
+    ChunkConfig,
     CompleteGraph,
     Edge,
     ExperimentSpec,
     GreedyStreamColorer,
     UniformRandomPermutation,
     ValidationError,
+    generate,
     run_experiment,
     run_stream,
     verify,
 )
-from streamcolor.harness import CSV_COLUMNS, CSV_VERSION, rows_to_csv
+from streamcolor.harness import CSV_COLUMNS, CSV_VERSION, colour_pass, rows_to_csv
 
 
 class TestGreedyBaseline:
@@ -46,8 +51,9 @@ class TestGreedyBaseline:
 class TestExperimentSpec:
     def test_validation(self):
         base = dict(family=CompleteGraph(8), order=UniformRandomPermutation(), seeds=[0])
-        with pytest.raises(ValidationError):
-            ExperimentSpec(algo="quantum", **base)
+        for algo in ("quantum", "greedy-baseline"):
+            with pytest.raises(ValidationError, match=f"unknown algorithm '{algo}'"):
+                ExperimentSpec(algo=algo, **base)
         with pytest.raises(ValidationError):
             ExperimentSpec(algo="chunk", seeds=[], family=CompleteGraph(8), order=UniformRandomPermutation())
         with pytest.raises(ValidationError):
@@ -122,6 +128,35 @@ class TestExperimentSpec:
         assert len(files) == 1
 
 
+class DropsOneEdge(ChunkColorer):
+    """A broken chunk colourer: its last chunk loses its first record."""
+
+    def _drain(self):
+        return super()._drain()[1:]
+
+
+class TestColourPass:
+    @pytest.mark.parametrize("make", [ChunkColorer, DropsOneEdge], ids=["chunk", "drops-one-edge"])
+    def test_proper_needs_every_input_edge(self, make):
+        header, edges = generate(CompleteGraph(8), UniformRandomPermutation(), 0)
+        colorer = make(ChunkConfig(n=8, alpha=2))  # one chunk holds all 28 edges
+        row = {"algo": "chunk"}
+        transcript, report = colour_pass(row, colorer, 2, header, edges, time.perf_counter())
+        # the transcript alone is proper and in budget either way
+        assert report.proper
+        assert row["proper"] == (len(transcript) == len(edges))
+        assert len(transcript) == len(edges) - (make is DropsOneEdge)
+
+    def test_run_prints_the_row_verdict(self, tmp_path, monkeypatch, capsys):
+        from streamcolor import cli
+
+        monkeypatch.setattr(cli, "ChunkColorer", DropsOneEdge)
+        monkeypatch.setenv("STREAMCOLOR_OUT", str(tmp_path))
+        cli.main(["generate", "--family", "complete:8", "--seed", "1", "-o", "g.el"])
+        assert cli.main(["run", "--algo", "chunk", "--alpha", "2", "--graph", str(tmp_path / "g.el")]) == 1
+        assert "proper=False" in capsys.readouterr().out
+
+
 class TestCsv:
     def test_versioned_header(self):
         text = rows_to_csv([])
@@ -133,11 +168,11 @@ class TestCsv:
         spec = ExperimentSpec(
             family=CompleteGraph(6),
             order=UniformRandomPermutation(),
-            algo="greedy-baseline",
+            algo="chunk",
             seeds=[1],
         )
         rows = run_experiment(spec)
         text = rows_to_csv(rows)
         line = text.splitlines()[2].split(",")
-        assert line[0] == "greedy-baseline"
+        assert line[0] == "chunk"
         assert line[CSV_COLUMNS.index("seed")] == "1"
