@@ -18,8 +18,12 @@ distinct colours while no vertex exceeds degree max_degree.  When no clean
 class pair exists (signatures wider than log2 n), a missed edge is repaired
 by replacing the column vertex with a fresh one whose slice-i counter is
 driven back up via disposable leaf edges, retrying until the colourer's draw
-lands on i; each retry costs one fresh leaf, matching the expected s attempts
-per connection.
+lands on i.  Each edge lands on i with probability one over the number of
+bits its endpoints differ in, about 2/s, and every miss costs a fresh vertex,
+so the repair draws about (st)^2 (1 + s(t-1)/4) / 2 vertices: over seeds 0-4
+at the recommended vertex count, 5,814-7,855 at (max_degree, s) = (96, 24)
+and 15,660-19,114 at (128, 32).  A colourer with too few vertices for the
+construction is a ValidationError.
 """
 
 from __future__ import annotations
@@ -48,35 +52,50 @@ class WorstCaseResult:
 
 
 class _VertexPool:
-    """Fresh vertices of the colourer's id space, grouped by signature."""
+    """Fresh vertices of the colourer's id space, grouped by signature; only
+    non-empty classes are kept."""
 
     def __init__(self, colorer):
+        self.n = colorer.n
         self.classes: dict[int, list[int]] = {}
         for u in range(colorer.n - 1, -1, -1):
             self.classes.setdefault(colorer.signature(u), []).append(u)
         # lists are descending, so pop() hands out the smallest id first
+        self.order = list(self.classes)
+        self.resume: dict[tuple[int, int], int] = {}  # (i, bit) -> index into order
 
-    def take_exact(self, sig: int) -> int | None:
-        bucket = self.classes.get(sig)
-        if bucket:
-            return bucket.pop()
-        return None
+    def take(self, sig: int) -> int:
+        bucket = self.classes[sig]
+        v = bucket.pop()
+        if not bucket:
+            del self.classes[sig]
+        return v
 
-    def take_with_bit(self, i: int, bit: int) -> int | None:
-        for sig, bucket in self.classes.items():
-            if bucket and (sig >> i) & 1 == bit:
-                return bucket.pop()
-        return None
+    def with_bit(self, i: int, bit: int) -> int:
+        """The first class in pool order whose bit i is ``bit``.  Classes are
+        only ever emptied, so each search resumes where the last one with
+        the same (i, bit) stopped."""
+        for at in range(self.resume.get((i, bit), 0), len(self.order)):
+            sig = self.order[at]
+            if (sig >> i) & 1 == bit and sig in self.classes:
+                self.resume[i, bit] = at
+                return sig
+        raise ValidationError(
+            f"the colourer's {self.n} vertices ran out while building slice {i}; "
+            "give it more vertices"
+        )
 
-    def best_pair(self, i: int) -> tuple[int, int] | None:
-        """Signature pair differing exactly at bit i with the deepest supply."""
+    def clean_pair(self, i: int, t: int) -> tuple[int, int] | None:
+        """The signature pair differing exactly at bit i with the deepest
+        supply, the first in pool order on a tie, if both classes hold at
+        least t vertices."""
         best = None
-        best_score = 0
+        best_score = t - 1
         for sig, bucket in self.classes.items():
-            if (sig >> i) & 1 != 0 or not bucket:
+            if (sig >> i) & 1:
                 continue
             partner = self.classes.get(sig ^ (1 << i))
-            if not partner:
+            if partner is None:
                 continue
             score = min(len(bucket), len(partner))
             if score > best_score:
@@ -105,9 +124,6 @@ class _Driver:
         self.transcript = Transcript(header=StreamHeader(n=colorer.n))
         self.announced: list = []  # records not yet in the transcript
 
-    def _sig(self, u: int) -> int:
-        return self.colorer.signature(u)
-
     def _feed(self, x: int, y: int) -> TripleColour:
         edge = canonicalize(Edge(x, y))
         if edge in self.emitted:
@@ -125,17 +141,11 @@ class _Driver:
             raise AssertionError(f"expected a triple colour, got {colour}")
         return colour
 
-    def _take(self, i: int, bit: int, prefer_sig: int | None = None) -> int:
-        v = None
-        if prefer_sig is not None:
-            v = self.pool.take_exact(prefer_sig)
-        if v is None:
-            v = self.pool.take_with_bit(i, bit)
-        if v is None:
-            raise RuntimeError(
-                f"fresh vertex supply exhausted while building slice {i}"
-            )
-        return v
+    def _take(self, i: int, bit: int, prefer: int | None = None) -> int:
+        """A fresh vertex of class ``prefer`` while it lasts, else of the
+        first class with bit i equal to ``bit``."""
+        pool = self.pool
+        return pool.take(prefer if prefer in pool.classes else pool.with_bit(i, bit))
 
     def _grow(self, i: int, bit: int, target: int, reserve: int) -> int:
         """A fresh vertex on side ``bit`` of slice i with its counter driven
@@ -143,46 +153,27 @@ class _Driver:
         while True:
             v = self._take(i, bit)
             count = 0
-            abandoned = False
-            while count < target:
-                if self.degree.get(v, 0) >= self.max_degree - reserve:
-                    abandoned = True
-                    break
-                leaf = self._take(i, 1 - bit, prefer_sig=self._sig(v) ^ (1 << i))
-                colour = self._feed(v, leaf)
-                if colour.index == i:
+            while count < target and self.degree.get(v, 0) < self.max_degree - reserve:
+                leaf = self._take(i, 1 - bit, self.colorer.signature(v) ^ (1 << i))
+                if self._feed(v, leaf).index == i:
                     count += 1
-            if not abandoned:
+            if count == target:
                 return v
-
-    def _grid_vertices(self, i: int) -> tuple[list[int], list[int]]:
-        pair = self.pool.best_pair(i)
-        if pair is not None and min(
-            len(self.pool.classes[pair[0]]), len(self.pool.classes[pair[1]])
-        ) >= self.t:
-            left_sig, right_sig = pair
-            lefts = [self.pool.take_exact(left_sig) for _ in range(self.t)]
-            rights = [self.pool.take_exact(right_sig) for _ in range(self.t)]
-            return lefts, rights
-        lefts = [self._take(i, 0) for _ in range(self.t)]
-        rights = [self._take(i, 1) for _ in range(self.t)]
-        return lefts, rights
 
     def run(self) -> WorstCaseResult:
         t, s = self.t, self.s
         for i in range(s):
-            lefts, rights = self._grid_vertices(i)
-            for j in range(t):
-                a = lefts[j]
+            left_sig, right_sig = self.pool.clean_pair(i, t) or (None, None)
+            lefts = [self._take(i, 0, left_sig) for _ in range(t)]
+            rights = [self._take(i, 1, right_sig) for _ in range(t)]
+            for j, a in enumerate(lefts):
                 for k in range(t):
                     while True:
                         if self.degree.get(a, 0) >= self.max_degree:
                             # row vertex out of budget: rebuild it at its
                             # current slice counter
                             a = self._grow(i, 0, target=k, reserve=t - k)
-                            lefts[j] = a
-                        colour = self._feed(a, rights[k])
-                        if colour.index == i:
+                        if self._feed(a, rights[k]).index == i:
                             break
                         # missed slice: the pair is spent, bring in a fresh
                         # column vertex at the counter the column expects
@@ -215,12 +206,13 @@ def worst_case_stream(colorer, max_degree: int) -> WorstCaseResult:
 
 
 def recommended_vertex_count(max_degree: int, s: int) -> int:
-    """Vertex count to instantiate the target colourer with so that clean
-    signature-class pairs are plentiful at desk scale: at most 100,000 unless
-    the grid itself needs more."""
+    """Vertex count to instantiate the target colourer with: below s = 24,
+    enough that clean signature-class pairs are plentiful; from s = 24 on,
+    twice what the counter repair draws on average.  At most 100,000 unless
+    the grid itself needs more, so a wide grid at large s can run out."""
     t = max(1, ceil(max_degree / (2 * s)))
     if s < 24:
         want = (1 << s) * 8 * t
     else:
-        want = 64 * t * s
+        want = (s * t) ** 2 * (4 + s * (t - 1)) // 4
     return max(2 * t * s + 2, min(want, 100_000))

@@ -34,8 +34,8 @@ from .generators import (
 )
 from .harness import (
     ALGORITHMS,
-    CSV_COLUMNS,
     ExperimentSpec,
+    check_parameters,
     colour_pass,
     rows_to_csv,
     run_experiment,
@@ -67,6 +67,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    check_parameters(args.algo, args.alpha, args.s)
     started = time.perf_counter()
     header, edges = read_edge_list(args.graph)
     n = header.n
@@ -97,52 +98,38 @@ def _cmd_verify(args) -> int:
     _, graph_edges = read_edge_list(args.graph)
     complete = same_edge_multiset(graph_edges, transcript)  # both readers reject negatives
 
-    if args.csv:
-        row = {col: "" for col in CSV_COLUMNS}
-        row.update(
-            algo="verify",
-            family=args.graph,
-            n=transcript.header.n,
-            m=len(transcript),
-            max_degree=report.max_degree,
-            colours=report.distinct_colours,
-            overflow=report.overflow_colours,
-            proper=int(report.proper and complete),
-        )
-        print(rows_to_csv([row]), end="")
-    else:
-        print(f"records: {report.records}  distinct colours: {report.distinct_colours}")
-        print(f"max degree: {report.max_degree}  overflow colours: {report.overflow_colours}")
-        print(f"covers input edge multiset: {complete}")
-        if report.duplicate_edges:
-            print(f"duplicate edges: {report.duplicate_edges}")
-        for key in sorted(report.per_palette_stats):
-            st = report.per_palette_stats[key]
-            print(
-                f"  palette {key}: edges={st.edge_count} max_degree={st.max_degree}"
-                + (f" max_local={st.max_local}" if key[0] == "chunk" else "")
-                + (
-                    f" max_left={st.max_left} max_right={st.max_right}"
-                    if key[0] == "triple"
-                    else ""
-                )
+    print(f"records: {report.records}  distinct colours: {report.distinct_colours}")
+    print(f"max degree: {report.max_degree}  overflow colours: {report.overflow_colours}")
+    print(f"covers input edge multiset: {complete}")
+    if report.duplicate_edges:
+        print(f"duplicate edges: {report.duplicate_edges}")
+    for key in sorted(report.per_palette_stats):
+        st = report.per_palette_stats[key]
+        print(
+            f"  palette {key}: edges={st.edge_count} max_degree={st.max_degree}"
+            + (f" max_local={st.max_local}" if key[0] == "chunk" else "")
+            + (
+                f" max_left={st.max_left} max_right={st.max_right}"
+                if key[0] == "triple"
+                else ""
             )
-        if report.records and all(key[0] == "chunk" for key in report.per_palette_stats):
-            if len(report.per_palette_stats) >= 2:
-                conc = chunk_concentration(transcript)
-                print(
-                    f"chunk concentration over {conc.num_chunks} chunks: "
-                    f"mean d_i(u)/(d(u)*|chunk_i|/m) = {conc.mean_ratio:.3f}, max = {conc.max_ratio:.3f}"
-                )
-            else:
-                # one chunk holds every edge, so each ratio is 1 by construction
-                print("chunk concentration: not measured over a single chunk")
-        if report.proper:
-            print("PROPER")
+        )
+    if report.records and all(key[0] == "chunk" for key in report.per_palette_stats):
+        if len(report.per_palette_stats) >= 2:
+            conc = chunk_concentration(transcript)
+            print(
+                f"chunk concentration over {conc.num_chunks} chunks: "
+                f"mean d_i(u)/(d(u)*|chunk_i|/m) = {conc.mean_ratio:.3f}, max = {conc.max_ratio:.3f}"
+            )
         else:
-            print(f"NOT PROPER: {len(report.conflicts)} conflicts")
-            for e1, e2, vertex, colour in report.conflicts[: args.max_conflicts]:
-                print(f"  {e1} and {e2} share vertex {vertex} and colour {colour}")
+            # one chunk holds every edge, so each ratio is 1 by construction
+            print("chunk concentration: not measured over a single chunk")
+    if report.proper:
+        print("PROPER")
+    else:
+        print(f"NOT PROPER: {len(report.conflicts)} conflicts")
+        for e1, e2, vertex, colour in report.conflicts[:20]:
+            print(f"  {e1} and {e2} share vertex {vertex} and colour {colour}")
     return 0 if (report.proper and complete) else 1
 
 
@@ -251,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a transcript against its input graph")
     p.add_argument("transcript")
     p.add_argument("graph")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--max-conflicts", type=int, default=20)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("color-offline", help="offline-colour a whole graph file")

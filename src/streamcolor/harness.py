@@ -67,17 +67,24 @@ class ExperimentSpec:
     out_dir: Path | None = None  # transcripts written here when set
 
     def __post_init__(self):
-        if self.algo not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {self.algo!r}")
+        check_parameters(self.algo, self.alpha, self.s)
         if not self.seeds:
             raise ValidationError("at least one seed is required")
-        if self.algo == "chunk" and self.s is not None:
-            raise ValidationError("s is a bipartite parameter")
-        if self.algo == "bipartite" and self.alpha is not None:
-            raise ValidationError("alpha is a chunk parameter")
-        for name, value in (("alpha", self.alpha), ("s", self.s)):
-            if value is not None and value < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {value}")
+
+
+def check_parameters(algo: str, alpha: int | None, s: int | None) -> None:
+    """The one check of an algorithm and its parameters, for ``run`` and
+    ``sweep`` alike: a known algorithm, no parameter of the other one, and
+    every parameter given at least 1."""
+    if algo not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algo!r}")
+    if algo == "chunk" and s is not None:
+        raise ValidationError("s is a bipartite parameter")
+    if algo == "bipartite" and alpha is not None:
+        raise ValidationError("alpha is a chunk parameter")
+    for name, value in (("alpha", alpha), ("s", s)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {value}")
 
 
 def _make_colorer(spec: ExperimentSpec, n: int, seed: int):

@@ -86,6 +86,20 @@ class TestFallbackPath:
             degree[v] = degree.get(v, 0) + 1
         assert max(degree.values()) <= 16
 
+    def test_counter_repair_at_grid_side_two(self):
+        # no class pair of width 16 holds two vertices on each side at
+        # n = 6000, so the t = 2 grids are kept by repairing missed edges,
+        # one of the repairs abandoning a vertex that ran out of headroom
+        result, _ = drive(delta=34, s=16, seed=0, n=6000)
+        assert result.grid_side == 2
+        assert verify(result.transcript).proper
+        assert result.distinct_colours >= 16 * 2 * 2
+        degree = {}
+        for u, v in result.edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        assert max(degree.values()) <= 34
+
 
 class TestPreconditions:
     def test_unexposed_colorer_is_a_configuration_error(self):

@@ -124,10 +124,12 @@ def test_usage_error_exit_code_two(out_env):
         ["sweep", "--family", "complete:4", "--algo", "chunk", "--alpha", "0", "--seeds", "0"],
         ["sweep", "--family", "complete:4", "--algo", "bipartite", "--s", "0", "--seeds", "0"],
         ["verify", "{out}/bad.tr", "{out}/g.el"],
+        ["run", "--algo", "chunk", "--s", "5", "--graph", "{out}/g.el"],
+        ["run", "--algo", "bipartite", "--alpha", "2", "--graph", "{out}/g.el"],
     ],
     ids=["order-seed", "sorted-junk", "as-given-junk", "seed-list", "alpha-range",
          "graph-directory", "chunk-s", "bipartite-alpha", "alpha-zero", "s-zero",
-         "transcript-endpoint"],
+         "transcript-endpoint", "run-chunk-s", "run-bipartite-alpha"],
 )
 def test_malformed_value_exits_two(out_env, capsys, argv):
     # vertices 7 and 9 are out of range for the 4-vertex graph
@@ -139,6 +141,36 @@ def test_malformed_value_exits_two(out_env, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""  # rejected before any run
+
+
+@pytest.mark.parametrize("header", ["n 5 q 3", "n five", "n 0", "n 4 m 7", "n 4 seed x"])
+def test_bad_header_exits_two_naming_line_one(out_env, capsys, header):
+    (out_env / "g.el").write_text(f"{header}\n0 1\n")
+    assert main(["run", "--algo", "chunk", "--graph", str(out_env / "g.el")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 1: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["complete:0", "star:0", "gnp:10:1.5", "gnp:0:0.5", "regular:5:3", "regular:4:4",
+     "bipartite:0:3"],
+)
+def test_bad_family_exits_two(out_env, capsys, family):
+    assert main(["generate", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (out_env / "stream.el").exists()
+
+
+def test_worst_case_out_of_vertices_exits_two(out_env, capsys):
+    # at s = 24 no clean class pairs exist, and the repair of missed edges
+    # needs several thousand fresh vertices
+    assert main(["worst-case", "--delta", "96", "--s", "24", "--n", "3000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,14 @@ class TestAdjacencyGraph:
         assert g.edges == [Edge(0, 1), Edge(0, 2), Edge(0, 3)]
 
 
+class TestIsProper:
+    def test_rejects_an_uncoloured_edge(self):
+        assert not is_proper(graph(3, PATH3), {Edge(0, 1): 0})
+
+    def test_rejects_a_colour_twice_at_a_vertex(self):
+        assert not is_proper(graph(3, PATH3), {Edge(0, 1): 0, Edge(1, 2): 0})
+
+
 class TestVizing:
     def test_triangle_needs_three(self):
         g = graph(3, TRIANGLE)
