@@ -53,20 +53,23 @@ class WorstCaseResult:
 
 class _VertexPool:
     """Fresh vertices of the colourer's id space, grouped by signature; only
-    non-empty classes are kept."""
+    non-empty classes are kept, and ``deep`` keeps those holding at least t."""
 
-    def __init__(self, colorer):
-        self.n = colorer.n
+    def __init__(self, colorer, t: int):
+        self.n, self.t = colorer.n, t
         self.classes: dict[int, list[int]] = {}
         for u in range(colorer.n - 1, -1, -1):
             self.classes.setdefault(colorer.signature(u), []).append(u)
         # lists are descending, so pop() hands out the smallest id first
         self.order = list(self.classes)
+        self.deep = {sig: bucket for sig, bucket in self.classes.items() if len(bucket) >= t}
         self.resume: dict[tuple[int, int], int] = {}  # (i, bit) -> index into order
 
     def take(self, sig: int) -> int:
         bucket = self.classes[sig]
         v = bucket.pop()
+        if len(bucket) < self.t:
+            self.deep.pop(sig, None)
         if not bucket:
             del self.classes[sig]
         return v
@@ -85,17 +88,14 @@ class _VertexPool:
             "give it more vertices"
         )
 
-    def clean_pair(self, i: int, t: int) -> tuple[int, int] | None:
+    def clean_pair(self, i: int) -> tuple[int, int] | None:
         """The signature pair differing exactly at bit i with the deepest
         supply, the first in pool order on a tie, if both classes hold at
         least t vertices."""
-        best = None
-        best_score = t - 1
-        for sig, bucket in self.classes.items():
-            if (sig >> i) & 1:
-                continue
-            partner = self.classes.get(sig ^ (1 << i))
-            if partner is None:
+        best, best_score = None, 0  # every deep class holds at least t
+        for sig, bucket in self.deep.items():
+            partner = self.deep.get(sig ^ (1 << i))
+            if (sig >> i) & 1 or partner is None:
                 continue
             score = min(len(bucket), len(partner))
             if score > best_score:
@@ -117,7 +117,7 @@ class _Driver:
                 f"colourer has {colorer.n} vertices; the grid needs at least "
                 f"{2 * self.t * self.s}"
             )
-        self.pool = _VertexPool(colorer)  # raises unless randomness is exposed
+        self.pool = _VertexPool(colorer, self.t)  # raises unless randomness is exposed
         self.degree: dict[int, int] = {}
         self.emitted: set[Edge] = set()
         self.stream: list[Edge] = []
@@ -163,7 +163,7 @@ class _Driver:
     def run(self) -> WorstCaseResult:
         t, s = self.t, self.s
         for i in range(s):
-            left_sig, right_sig = self.pool.clean_pair(i, t) or (None, None)
+            left_sig, right_sig = self.pool.clean_pair(i) or (None, None)
             lefts = [self._take(i, 0, left_sig) for _ in range(t)]
             rights = [self._take(i, 1, right_sig) for _ in range(t)]
             for j, a in enumerate(lefts):

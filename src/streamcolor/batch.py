@@ -245,11 +245,8 @@ def verify_columns(transcript: Transcript) -> VerificationReport | None:
 
 
 def distinct_colours(transcript: Transcript) -> int:
-    """The number of distinct (kind, c0, c1, c2) rows: adjacent rows differ
-    once sorted."""
-    rows = np.stack(_columns(transcript)[2:])
-    rows = rows[:, np.lexsort(rows[::-1])]
-    return int((rows[:, 1:] != rows[:, :-1]).any(axis=0).sum()) + (rows.shape[1] > 0)
+    """The number of distinct (kind, c0, c1, c2) rows."""
+    return _rank(*_columns(transcript)[2:])[1] if len(transcript) else 0
 
 
 def across_slices(transcript: Transcript, colorer: BipartiteColorer) -> bool:

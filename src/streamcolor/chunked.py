@@ -25,8 +25,6 @@ class ChunkConfig:
     alpha: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"vertex count must be >= 1, got {self.n}")
         if not isinstance(self.alpha, int) or self.alpha < 1:
             raise ValidationError(f"alpha must be a positive integer, got {self.alpha}")
 
@@ -76,8 +74,8 @@ class ChunkColorer(StreamColorer):
         # per edge of the support graph
         workspace = 3 * len(support)
         self.meter.charge(workspace)
-        graph = AdjacencyGraph.from_edges(self.n, support)
-        local = color_vizing(graph)
+        # feed checked and canonicalised each edge, and the support repeats none
+        local = color_vizing(AdjacencyGraph(self.n, support))
 
         if len(support) != len(chunk):
             used_at: defaultdict[int, set[int]] = defaultdict(set)

@@ -76,8 +76,8 @@ def canonicalize(edge: Edge) -> Edge:
 
 
 def checked_edge(edge: Edge, n: int) -> Edge:
-    """The one check a colourer makes of a fed edge: both endpoints in
-    0..n-1 and distinct.  Returns the edge with the smaller endpoint first."""
+    """The one edge rule, applied once where an edge enters: both endpoints
+    in 0..n-1 and distinct.  Returns the edge with the smaller endpoint first."""
     u, v = edge.u, edge.v
     if not (0 <= u < n and 0 <= v < n):
         raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
@@ -405,7 +405,7 @@ def _parse_lines(
 ) -> tuple[StreamHeader, Iterator[tuple[int, Edge, list[str]]]]:
     """Read a stream or transcript file: its header, then ``(line_no, edge,
     tokens)`` for each non-blank line, which must hold the tokens ``shape``
-    names (``u v`` or ``u v colour``) and a valid edge."""
+    names (``u v`` or ``u v colour``) and an edge that ``checked_edge`` passes."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -422,14 +422,13 @@ def _parse_lines(
             if len(tokens) != width:
                 raise TranscriptParseError(f"expected `{shape}`, got {line!r}", line_no)
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                edge = Edge(int(tokens[0]), int(tokens[1]))
+                checked_edge(edge, n)
+            except ValidationError as exc:
+                raise TranscriptParseError(str(exc), line_no)
             except ValueError:
                 raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
-            if u == v:
-                raise TranscriptParseError(f"self-loop ({u},{v})", line_no)
-            if not (0 <= u < n and 0 <= v < n):
-                raise TranscriptParseError(f"edge ({u},{v}) out of range for n={n}", line_no)
-            yield line_no, Edge(u, v), tokens
+            yield line_no, edge, tokens  # in the file's orientation
 
     return header, records()
 

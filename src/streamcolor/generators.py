@@ -1,7 +1,8 @@
 """Reproducible edge streams: graph families and arrival-order policies.
 
-Every stream is a deterministic function of (family, order, seed).  Families
-never emit duplicate edges or self-loops; ``FromFile`` re-validates both.
+Every stream is a deterministic function of (family, order, seed).  A family
+checks its parameters when built and never emits a repeated edge or a self-loop;
+``FromFile`` streams its file as ``read_edge_list`` checked it, repeats included.
 """
 
 from __future__ import annotations
@@ -20,16 +21,28 @@ from .rng import mix64
 class CompleteGraph:
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"complete graph needs n >= 1, got {self.n}")
+
 
 @dataclass(frozen=True)
 class CompleteBipartite:
     a: int
     b: int
 
+    def __post_init__(self):
+        if self.a < 1 or self.b < 1:
+            raise ValidationError(f"bipartite sides must be >= 1, got {self.a},{self.b}")
+
 
 @dataclass(frozen=True)
 class Star:
     t: int  # leaf count; centre is vertex 0
+
+    def __post_init__(self):
+        if self.t < 1:
+            raise ValidationError(f"star needs >= 1 leaf, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -37,11 +50,20 @@ class GnpRandom:
     n: int
     p: float
 
+    def __post_init__(self):
+        if self.n < 1 or not (0.0 <= self.p <= 1.0):
+            raise ValidationError(f"gnp needs n >= 1 and p in [0,1], got n={self.n} p={self.p}")
+
 
 @dataclass(frozen=True)
 class RandomRegular:
     n: int
     d: int
+
+    def __post_init__(self):
+        n, d = self.n, self.d
+        if not (0 <= d < n) or n * d % 2:
+            raise ValidationError(f"regular graph needs 0 <= d < n and n*d even, got n={n} d={d}")
 
 
 @dataclass(frozen=True)
@@ -130,38 +152,20 @@ def _random_regular_edges(n: int, d: int, rng: random.Random) -> list[Edge]:
 def _family_edges(family: GraphFamily, rng: random.Random) -> tuple[int, list[Edge]]:
     """Vertex count and edge list in the family's natural order."""
     if isinstance(family, CompleteGraph):
-        if family.n < 1:
-            raise ValidationError(f"complete graph needs n >= 1, got {family.n}")
         n = family.n
         return n, [Edge(u, v) for u in range(n) for v in range(u + 1, n)]
     if isinstance(family, CompleteBipartite):
         a, b = family.a, family.b
-        if a < 1 or b < 1:
-            raise ValidationError(f"bipartite sides must be >= 1, got {a},{b}")
         return a + b, [Edge(u, a + w) for u in range(a) for w in range(b)]
     if isinstance(family, Star):
-        if family.t < 1:
-            raise ValidationError(f"star needs >= 1 leaf, got {family.t}")
         return family.t + 1, [Edge(0, leaf) for leaf in range(1, family.t + 1)]
     if isinstance(family, GnpRandom):
-        if family.n < 1:
-            raise ValidationError(f"gnp needs n >= 1, got {family.n}")
-        if not (0.0 <= family.p <= 1.0):
-            raise ValidationError(f"gnp probability must be in [0,1], got {family.p}")
         return family.n, _gnp_edges(family.n, family.p, rng)
     if isinstance(family, RandomRegular):
-        n, d = family.n, family.d
-        if n < 1 or d < 0 or d >= n:
-            raise ValidationError(f"regular graph needs 0 <= d < n, got n={n} d={d}")
-        if (n * d) % 2 != 0:
-            raise ValidationError(f"n*d must be even, got n={n} d={d}")
-        return n, _random_regular_edges(n, d, rng)
+        return family.n, _random_regular_edges(family.n, family.d, rng)
     if isinstance(family, FromFile):
-        header, raw = read_edge_list(family.path)
-        edges = [canonicalize(e) for e in raw]
-        if len(set(edges)) != len(edges):
-            raise ValidationError(f"duplicate edges in {family.path}")
-        return header.n, raw
+        header, edges = read_edge_list(family.path)
+        return header.n, edges
     raise ValidationError(f"unknown family {family!r}")
 
 

@@ -11,10 +11,11 @@ graphs, used by the test suite to certify optimality claims.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import ChunkColour, ColourId, Edge, StreamColorer, ValidationError, canonicalize
+from .core import ChunkColour, ColourId, Edge, StreamColorer, ValidationError, checked_edge
 
 
 @dataclass
@@ -24,24 +25,21 @@ class AdjacencyGraph:
 
     n: int
     edges: list[Edge]
-    max_degree: int
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AdjacencyGraph":
-        canon = []
-        seen = set()
-        degree = [0] * n
-        for edge in edges:
-            e = canonicalize(edge)
-            if e.v >= n:
-                raise ValidationError(f"edge {e} out of range for n={n}")
-            if e in seen:
-                raise ValidationError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-            degree[e.u] += 1
-            degree[e.v] += 1
-        return cls(n=n, edges=canon, max_degree=max(degree, default=0))
+        """The graph of pairs no colourer has fed: each passes ``checked_edge``, none repeats."""
+        canon: dict[Edge, None] = {}
+        for pair in edges:
+            edge = checked_edge(Edge(*pair), n)
+            if edge in canon:
+                raise ValidationError(f"duplicate edge {edge}")
+            canon[edge] = None
+        return cls(n, list(canon))
+
+    @property
+    def max_degree(self) -> int:
+        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
 
 
 def take_free_colour(used_u: set[int], used_v: set[int]) -> int:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
     BipartiteColorer,
@@ -9,6 +11,7 @@ from streamcolor import (
     verify,
     worst_case_stream,
 )
+from streamcolor.adversary import _VertexPool
 
 
 def drive(delta, s, seed, n=None):
@@ -118,3 +121,40 @@ class TestPreconditions:
         assert recommended_vertex_count(64, 8) <= 100_000
         assert recommended_vertex_count(64, 300) <= 100_000
         assert recommended_vertex_count(8, 8) >= 2 * 8 + 2
+
+
+class _Signatures:
+    """Stands in for an exposed colourer: a vertex count and a signature each."""
+
+    def __init__(self, signatures):
+        self.n = len(signatures)
+        self.signature = signatures.__getitem__
+
+
+def _scan_every_class(classes, i, t):
+    """The clean pair found by scanning every class: the deepest supply of
+    at least t, the first in pool order on a tie."""
+    best, best_score = None, t - 1
+    for sig, bucket in classes.items():
+        partner = classes.get(sig ^ (1 << i))
+        if (sig >> i) & 1 or partner is None:
+            continue
+        score = min(len(bucket), len(partner))
+        if score > best_score:
+            best, best_score = (sig, sig ^ (1 << i)), score
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_clean_pair_matches_a_scan_of_every_class(data):
+    bits = data.draw(st.integers(1, 4))
+    signatures = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=60))
+    t = data.draw(st.integers(1, 4))
+    pool = _VertexPool(_Signatures(signatures), t)
+    for _ in range(data.draw(st.integers(0, len(signatures) - 1))):
+        for i in range(bits):
+            assert pool.clean_pair(i) == _scan_every_class(pool.classes, i, t)
+        pool.take(data.draw(st.sampled_from(list(pool.classes))))
+    for i in range(bits):
+        assert pool.clean_pair(i) == _scan_every_class(pool.classes, i, t)

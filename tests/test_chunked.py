@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
+    AdjacencyGraph,
     ChunkColorer,
     ChunkColour,
     ChunkConfig,
@@ -10,6 +13,8 @@ from streamcolor import (
     StreamHeader,
     UniformRandomPermutation,
     ValidationError,
+    canonicalize,
+    color_vizing,
     colour_budget,
     generate,
     run_stream,
@@ -154,3 +159,24 @@ class TestStreamProperties:
         assert report.records == 4
         assert report.duplicate_edges == 2
         assert report.proper  # copies share endpoints, so colours must differ
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunk_colours_are_vizing_on_the_checked_graph(data):
+    # the flush builds its graph without from_edges' checks; the colours must
+    # equal those of the checked graph on each chunk's repeat-free slice
+    n = data.draw(st.integers(2, 7))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in data.draw(st.lists(pair, max_size=60))]
+    colorer = chunk_colorer(n, data.draw(st.integers(1, 2)))
+    records = run_stream(colorer, edges, StreamHeader(n)).records
+    capacity = colorer.config.capacity
+    for chunk, first in enumerate(range(0, len(edges), capacity)):
+        support = dict.fromkeys(canonicalize(e) for e in edges[first:first + capacity])
+        expected = color_vizing(AdjacencyGraph.from_edges(n, support))
+        announced = {}
+        for edge, colour in records[first:first + capacity]:
+            announced.setdefault(edge, colour)  # a repeat takes a greedy colour
+        assert announced == {e: ChunkColour(chunk, c) for e, c in expected.items()}

@@ -164,6 +164,38 @@ def test_bad_family_exits_two(out_env, capsys, family):
     assert not (out_env / "stream.el").exists()
 
 
+@pytest.mark.parametrize("family", ["complete:0", "star:0", "gnp:10:1.5", "regular:5:3"])
+def test_sweep_rejects_ungeneratable_family_before_any_run(out_env, capsys, family):
+    # no seed can generate these values: a usage error, not a failed row
+    assert main(["sweep", "--family", family, "--algo", "chunk", "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "algo, flags", [("chunk", ["--alpha", "1"]), ("bipartite", ["--s", "8"])],
+    ids=["chunk", "bipartite"],
+)
+def test_run_and_sweep_agree_on_a_repeated_edge(out_env, capsys, algo, flags):
+    # both commands colour the stream as read, the repeat included
+    (out_env / "g.el").write_text("n 4\n0 1\n1 2\n2 3\n1 0\n")
+    graph = str(out_env / "g.el")
+    assert main(["run", "--algo", algo, *flags, "--graph", graph, "-o", "t.tr",
+                 "--csv", "run.csv"]) == 0
+    assert main(["sweep", "--family", f"file:{graph}", "--order", "as-given", "--algo", algo,
+                 *flags, "--seeds", "0", "--csv", "sweep.csv"]) == 0
+    run_row, sweep_row = (
+        dict(zip(CSV_COLUMNS, (out_env / name).read_text().splitlines()[2].split(",")))
+        for name in ("run.csv", "sweep.csv")
+    )
+    for row in (run_row, sweep_row):
+        for col in ("family", "order", "wall_time_s"):
+            del row[col]
+    assert run_row == sweep_row
+    assert (run_row["m"], run_row["proper"], run_row["error"]) == ("4", "1", "")
+
+
 def test_worst_case_out_of_vertices_exits_two(out_env, capsys):
     # at s = 24 no clean class pairs exist, and the repair of missed edges
     # needs several thousand fresh vertices

@@ -245,7 +245,7 @@ class TestFileFormats:
         [
             ("0 5", "edge (0,5) out of range for n=5"),
             ("-1 2", "edge (-1,2) out of range for n=5"),
-            ("3 3", "self-loop (3,3)"),
+            ("3 3", "self-loop (3,3) is not a valid edge"),  # checked_edge's message
             ("0 x", "non-integer endpoint in {text!r}"),
             ("0 1 2", "expected `{shape}`, got {text!r}"),
             ("4", "expected `{shape}`, got {text!r}"),

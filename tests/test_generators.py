@@ -83,11 +83,14 @@ class TestFamilies:
         assert header.n == 4
         assert edges == [Edge(2, 1), Edge(0, 3)]
 
-    def test_from_file_rejects_duplicates(self, tmp_path):
+    def test_from_file_keeps_repeated_edges_as_read(self, tmp_path):
+        # the file's edges were checked once, by read_edge_list; a repeat
+        # stays, in its own orientation, as `streamcolor run` colours it
         path = tmp_path / "g.el"
-        path.write_text("n 4\n0 1\n1 0\n")
-        with pytest.raises(ValidationError):
-            generate(FromFile(str(path)), AsGiven(), 0)
+        path.write_text("n 4\n0 1\n2 3\n1 0\n")
+        header, edges = generate(FromFile(str(path)), AsGiven(), 0)
+        assert header.n == 4
+        assert edges == [Edge(0, 1), Edge(2, 3), Edge(1, 0)]
 
 
 class TestPairDecode:

@@ -101,17 +101,17 @@ class TestExperimentSpec:
         assert row["proper"] == 1
         assert row["overflow"] >= 0
 
-    def test_failure_becomes_error_row(self):
-        from streamcolor import RandomRegular
+    def test_failure_becomes_error_row(self, tmp_path):
+        from streamcolor import FromFile
 
         spec = ExperimentSpec(
-            family=RandomRegular(5, 3),  # odd n*d: generation fails
+            family=FromFile(str(tmp_path / "missing.el")),  # only a run finds it missing
             order=UniformRandomPermutation(),
             algo="chunk",
             seeds=[0, 1],
         )
         rows = run_experiment(spec)
-        assert all(r["error"].startswith("ValidationError") for r in rows)
+        assert all(r["error"].startswith("FileNotFoundError") for r in rows)
         assert all(r["proper"] == 0 for r in rows)
 
     def test_transcripts_written_when_requested(self, tmp_path):

@@ -44,6 +44,22 @@ class TestAdjacencyGraph:
         with pytest.raises(ValidationError):
             graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 3)], "edge (0,3) out of range for n=3"),
+            ([(-1, 2)], "edge (-1,2) out of range for n=3"),
+            ([(1, 1)], "self-loop (1,1) is not a valid edge"),
+            ([(0, 1), (1, 2), (1, 0)], "duplicate edge Edge(u=0, v=1)"),
+        ],
+        ids=["out-of-range", "negative", "self-loop", "duplicate"],
+    )
+    def test_checks_each_pair_with_the_colourers_rule(self, edges, message):
+        # range and self-loop messages are checked_edge's; a graph is simple
+        with pytest.raises(ValidationError) as err:
+            graph(3, edges)
+        assert str(err.value) == message
+
     def test_degree_and_max_degree(self):
         g = graph(4, [(1, 0), (0, 2), (3, 0)])
         assert g.max_degree == 3
