@@ -1,20 +1,22 @@
 """numpy batch kernels behind ``BipartiteColorer.feed_many``, ``verify``,
-``check_bipartition``, ``chunk_concentration`` and ``streamcolor verify``'s
-edge check.
+``check_bipartition``, ``chunk_concentration``, ``streamcolor verify``'s
+edge check and the two file readers.
 
 Each kernel computes exactly what its scalar twin computes, on a
 transcript's int64 columns, and declines what it cannot hold:
 ``feed_block`` stops before an edge that ``BipartiteColorer.feed`` must
-take, and ``verify_columns`` returns None for a transcript that
-``verify``'s record-by-record loop must decide.  This module is the only
-one that imports numpy at load time; its callers import it on first use,
-so ``import streamcolor`` and building a colourer load neither it nor
-numpy.
+take, ``verify_columns`` returns None for a transcript that ``verify``'s
+record-by-record loop must decide, and ``edge_block`` and
+``transcript_block`` decline a block of a file that the line parser must
+read.  This module is the only one that imports numpy at load time; its
+callers import it on first use, so ``import streamcolor`` and building a
+colourer load neither it nor numpy.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+import re
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -325,3 +327,72 @@ def same_edge_multiset(edges: list[Edge], transcript: Transcript) -> bool:
     pairs = np.stack([lo, hi], axis=1)
     by_lo_then_hi = [side[np.lexsort((side[:, 1], side[:, 0]))] for side in (pairs[:k], pairs[k:])]
     return np.array_equal(*by_lo_then_hi)
+
+
+# ---------------------------------------------------------------------------
+# the file readers' blocks
+
+# the canonical form the writers emit: single spaces, every line ended by
+# "\n", integers without sign or leading zero and of at most 18 digits, so
+# that every value fits int64.  Each pattern is matched against one block
+# at a time: the engine keeps a little state per line it repeats over.
+_UINT = rb"(?:0|[1-9][0-9]{0,17})"
+_EDGE_LINES = re.compile(rb"(?:U U\n)*".replace(b"U", _UINT))
+_TRANSCRIPT_LINES = re.compile(rb"(?:U U (?:c:U:U|t:U:U:U|o:U)\n)*".replace(b"U", _UINT))
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_KIND_OF_LETTER = np.zeros(256, dtype=np.int64)  # c 0 chunk, t 1 triple, o 2 overflow
+_KIND_OF_LETTER[[ord("t"), ord("o")]] = 1, 2
+_FIELDS = np.array([2, 3, 1])  # colour fields of each kind
+
+
+def _numbers(b: np.ndarray) -> np.ndarray:
+    """The integers of a canonical block's bytes ``b`` in order: each run of
+    digits is one, and each digit adds its value times 10 to the power of
+    the number of digits after it."""
+    at = np.flatnonzero((b >= ord("0")) & (b <= ord("9")))
+    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)  # each number's first digit
+    length = np.diff(first, append=len(at))
+    place = np.repeat(first + length - 1, length) - np.arange(len(at))
+    return np.add.reduceat((b[at] - ord("0")).astype(np.int64) * _POW10[place], first)
+
+
+def _checked(u: np.ndarray, v: np.ndarray, n: int) -> bool:
+    """``checked_edge``'s rule on every (u, v); no parsed id is negative."""
+    n = min(n, 1 << 62)  # every parsed id is below 10**18
+    return bool(((u < n) & (v < n) & (u != v)).all())
+
+
+def edge_block(data: bytes, start: int, stop: int, n: int) -> list[Edge] | None:
+    """The edges of the stream file block ``data[start:stop]`` in file order
+    and orientation, or None unless the block is canonical and every edge
+    passes ``checked_edge`` on ``n`` vertices."""
+    if not _EDGE_LINES.fullmatch(data, start, stop):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    u, v = _numbers(b).reshape(-1, 2).T
+    if not _checked(u, v, n):
+        return None
+    # Edge(u, v) is tuple.__new__(Edge, (u, v)); calling it directly skips a Python frame
+    return list(map(tuple.__new__, repeat(Edge), zip(u.tolist(), v.tolist())))
+
+
+def transcript_block(data: bytes, start: int, stop: int, n: int, out: Transcript) -> bool:
+    """Append the records of the transcript file block ``data[start:stop]``
+    to ``out``'s columns and return True; or return False, appending
+    nothing, unless the block is canonical and every edge passes
+    ``checked_edge`` on ``n`` vertices."""
+    if not _TRANSCRIPT_LINES.fullmatch(data, start, stop):
+        return False
+    b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    kind = _KIND_OF_LETTER[b[b >= ord("a")]]  # one colour letter per line
+    width = 2 + _FIELDS[kind]
+    first = np.cumsum(width) - width  # each line's u among the numbers
+    numbers = np.append(_numbers(b), [0, 0])  # a short colour reads zeros
+    u, v, c0, c1, c2 = (numbers[first + j] for j in range(5))
+    if not _checked(u, v, n):
+        return False
+    c1[width < 4] = 0
+    c2[width < 5] = 0
+    for column, values in zip(out.columns, (u, v, kind, c0, c1, c2)):
+        column.frombytes(values.view(np.uint8))
+    return True

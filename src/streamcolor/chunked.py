@@ -6,14 +6,22 @@ each chunk under its own palette.  Properness holds for any arrival order;
 only the colour count depends on the order being random: a random permutation
 spreads each vertex's degree evenly across chunks, so each chunk needs about
 max_degree / num_chunks + 1 colours.
+
+``feed_many`` takes a whole stream in one plain Python loop, with no numpy,
+and each flush appends its chunk's announcements straight to the columns of
+a transcript; ``feed`` flushes through the same step and returns the
+records of its output.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import ChunkColour, ColourId, Edge, StreamColorer, ValidationError
+from .core import ColourId, Edge, StreamColorer, StreamHeader, Transcript, ValidationError
 from .offline import AdjacencyGraph, color_vizing, take_free_colour
 
 
@@ -48,22 +56,57 @@ class ChunkColorer(StreamColorer):
         # fixed bookkeeping: capacity, fill count, chunk counter
         self.meter.charge(3)
 
-    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
-        self._buffer.append(edge)
-        self.meter.charge(2)  # two endpoint words per buffered edge
+    def _charge(self, taken: int) -> None:
+        """Account for the last ``taken`` edges the buffer took: two
+        endpoint words each, and the buffer's length."""
+        self.meter.charge(2 * taken)
         if len(self._buffer) > self.peak_buffered_edges:
             self.peak_buffered_edges = len(self._buffer)
-        if len(self._buffer) == self.config.capacity:
-            return self._flush()
-        return []
+
+    def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
+        self._buffer.append(edge)
+        self._charge(1)
+        return self._drain() if len(self._buffer) == self.config.capacity else []
 
     def _drain(self) -> list[tuple[Edge, ColourId]]:
-        """Colour the residual partial chunk, if any, under a fresh palette."""
-        if not self._buffer:
-            return []
-        return self._flush()
+        """Colour the buffered (residual) chunk, if any, under a fresh palette."""
+        out = Transcript(StreamHeader(self.n))
+        if self._buffer:
+            self._flush(out)
+        return list(out.records)
 
-    def _flush(self) -> list[tuple[Edge, ColourId]]:
+    def feed_many(self, edges: Iterable[Edge]) -> Transcript:
+        """Feed ``edges`` in order and return the announcements as a
+        transcript: they, the meter, ``peak_buffered_edges`` and
+        ``chunk_index`` are those of calling :meth:`feed` on each edge.  An
+        edge the loop cannot take (one that is not an ``Edge`` of two ints
+        passing ``checked_edge``, or any edge after ``finish``) goes to
+        :meth:`feed`, so its errors are feed's too."""
+        out = Transcript(StreamHeader(self.n))
+        n, capacity, buffer = self.n, self.config.capacity, self._buffer
+        taken = 0  # edges buffered since the meter last saw the buffer
+        try:
+            for edge in edges:
+                if type(edge) is Edge and not self.finished:
+                    u, v = edge
+                    if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v:
+                        buffer.append(edge if u < v else Edge(v, u))
+                        taken += 1
+                        if len(buffer) == capacity:
+                            self._charge(taken)
+                            taken = 0
+                            self._flush(out)
+                        continue
+                self._charge(taken)
+                taken = 0
+                out.extend(self.feed(edge))
+        finally:
+            self._charge(taken)
+        return out
+
+    def _flush(self, out: Transcript) -> None:
+        """Colour the buffered chunk and append its announcements, in
+        arrival order, to ``out``'s columns."""
         chunk = self._buffer
         # duplicates within a chunk would make the induced subgraph a
         # multigraph; colour the simple support, then give repeat occurrences
@@ -82,17 +125,25 @@ class ChunkColorer(StreamColorer):
             for e, c in local.items():
                 used_at[e.u].add(c)
                 used_at[e.v].add(c)
-            announcements = []
+            colours = []
             for e in chunk:
                 c = local.pop(e, None)  # only the first occurrence finds its colour
                 if c is None:
                     c = take_free_colour(used_at[e.u], used_at[e.v])
-                announcements.append((e, ChunkColour(self.chunk_index, c)))
+                colours.append(c)
         else:
-            announcements = [(e, ChunkColour(self.chunk_index, local[e])) for e in chunk]
+            colours = list(map(local.__getitem__, chunk))
+
+        k = len(chunk)
+        ends = array("q", chain.from_iterable(chunk))
+        for column, values in zip(
+            out.columns,
+            (ends[0::2], ends[1::2], array("q", [0]) * k, array("q", [self.chunk_index]) * k,
+             array("q", colours), array("q", [0]) * k),
+        ):
+            column.extend(values)
 
         self.meter.release(workspace)
-        self.meter.release(2 * len(chunk))
-        self._buffer = []
+        self.meter.release(2 * k)
+        chunk.clear()
         self.chunk_index += 1
-        return announcements

@@ -21,6 +21,11 @@ announced, the colour's kind (0 chunk, 1 triple, 2 overflow) and its fields
 kernels read them zero-copy with ``numpy.frombuffer``.  ``records`` is a
 read-only view of the same announcements as ``(Edge, colour)`` NamedTuples,
 built on first access; its length is the columns' and builds nothing.
+
+The two file readers parse a block of lines at a time: ``read_edge_list``
+returns the stream's edges, and ``read_transcript`` writes a transcript's
+columns directly.  A block in the writers' canonical form is parsed with
+numpy; any other goes to the line parser, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -157,14 +162,15 @@ class StreamHeader:
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _holds(record: tuple[Edge, ColourId]) -> bool:
-    """Whether a transcript's columns hold ``record`` as itself."""
+def _check_held(record: tuple[Edge, ColourId]) -> None:
+    """Raise ValidationError unless a transcript's columns hold ``record`` as itself."""
     edge, colour = record
-    return (
+    if not (
         type(edge) is Edge
         and type(colour) in _KIND_OF
         and all(type(x) is int and _INT64_MIN <= x <= _INT64_MAX for x in (*edge, *colour))
-    )
+    ):
+        raise ValidationError(f"record {record!r} is not an Edge and a colour of int64s")
 
 
 class Transcript:
@@ -204,9 +210,8 @@ class Transcript:
                     for j, column in enumerate((self.c0, self.c1, self.c2), start=2):
                         column.extend(block[j::width] if j < width else zeros)
                     return
-        bad = next((record for record in records if not _holds(record)), None)
-        if bad is not None:
-            raise ValidationError(f"record {bad!r} is not an Edge and a colour of int64s")
+        for record in records:
+            _check_held(record)
         for (u, v), colour in records:
             kind = _KIND_OF[type(colour)]
             row = (u, v, kind, *colour, 0, 0)  # zero fields; zip stops at six
@@ -363,7 +368,15 @@ def run_stream(colorer: StreamColorer, edges: Iterable[Edge], header: StreamHead
 #              stream order = line order; 0 <= u, v < n and u != v.
 # Transcript:  same header line, then `u v <colour>` per line with the same
 #              endpoint rules and colour rendered by format_colour.
+#
+# Lines end at `\n` only, tokens are split at ASCII whitespace, and a line
+# must be UTF-8.  The readers take the body in blocks of whole lines.  A
+# block in the canonical form the writers emit is parsed at once by a numpy
+# kernel in ``batch``; any other block, or one that fails a check, goes to
+# the line parser, so every error is the line parser's.
 # ---------------------------------------------------------------------------
+
+_BLOCK_BYTES = 1 << 15  # bytes of whole lines the readers parse at a time
 
 
 def _format_header(header: StreamHeader) -> str:
@@ -375,10 +388,18 @@ def _format_header(header: StreamHeader) -> str:
     return " ".join(parts)
 
 
-def _parse_header(line: str, line_no: int) -> StreamHeader:
-    tokens = line.split()
+def _decoded(line: bytes, line_no: int) -> str:
+    try:
+        return line.decode()
+    except UnicodeDecodeError:
+        raise TranscriptParseError(f"not UTF-8 text: {line!r}", line_no) from None
+
+
+def _parse_header(line: bytes, line_no: int) -> StreamHeader:
+    text = _decoded(line, line_no)
+    tokens = [token.decode() for token in line.split()]
     if len(tokens) < 2 or len(tokens) % 2 != 0 or tokens[0] != "n":
-        raise TranscriptParseError(f"bad header {line!r}", line_no)
+        raise TranscriptParseError(f"bad header {text!r}", line_no)
     fields: dict[str, int] = {}
     for key, value in zip(tokens[::2], tokens[1::2]):
         if key not in ("n", "m", "seed"):
@@ -400,52 +421,74 @@ def write_edge_list(path: str | Path, header: StreamHeader, edges: Iterable[Edge
             fh.write(f"{u} {v}\n")
 
 
-def _parse_lines(
-    path: str | Path, shape: str
-) -> tuple[StreamHeader, Iterator[tuple[int, Edge, list[str]]]]:
-    """Read a stream or transcript file: its header, then ``(line_no, edge,
-    tokens)`` for each non-blank line, which must hold the tokens ``shape``
-    names (``u v`` or ``u v colour``) and an edge that ``checked_edge`` passes."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+def _blocks(path: str | Path) -> tuple[bytes, StreamHeader, Iterator[tuple[int, int, int]]]:
+    """A stream or transcript file's bytes, its header, and its body as
+    blocks of whole lines: ``(line_no, start, stop)`` for the block
+    ``data[start:stop]``, whose first line is numbered ``line_no``."""
+    data = Path(path).read_bytes()
+    if not data:
         raise TranscriptParseError("empty file", 1)
-    header = _parse_header(lines[0], 1)
-    n = header.n
+    body = data.find(b"\n") + 1 or len(data)
+    header = _parse_header(data[:body].removesuffix(b"\n"), 1)
+
+    def blocks(start=body, line_no=2):
+        while start < len(data):
+            stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+            yield line_no, start, stop
+            line_no += data.count(b"\n", start, stop)
+            start = stop
+
+    return data, header, blocks()
+
+
+def _parse_lines(
+    text: bytes, line_no: int, n: int, shape: str
+) -> Iterator[tuple[int, Edge, list[str]]]:
+    """The line parser: ``(line_no, edge, tokens)`` for each non-blank line
+    of ``text``, whose first line is numbered ``line_no``.  Each line must
+    hold the tokens ``shape`` names (``u v`` or ``u v colour``) and an edge
+    that ``checked_edge`` passes on ``n`` vertices."""
     width = len(shape.split())
-
-    def records():
-        for line_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != width:
-                raise TranscriptParseError(f"expected `{shape}`, got {line!r}", line_no)
-            try:
-                edge = Edge(int(tokens[0]), int(tokens[1]))
-                checked_edge(edge, n)
-            except ValidationError as exc:
-                raise TranscriptParseError(str(exc), line_no)
-            except ValueError:
-                raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
-            yield line_no, edge, tokens  # in the file's orientation
-
-    return header, records()
+    for line_no, raw in enumerate(text.split(b"\n"), start=line_no):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        line = _decoded(raw, line_no)
+        tokens = [token.decode() for token in tokens]
+        if len(tokens) != width:
+            raise TranscriptParseError(f"expected `{shape}`, got {line!r}", line_no)
+        try:
+            edge = Edge(int(tokens[0]), int(tokens[1]))
+            checked_edge(edge, n)
+        except ValidationError as exc:
+            raise TranscriptParseError(str(exc), line_no)
+        except ValueError:
+            raise TranscriptParseError(f"non-integer endpoint in {line!r}", line_no)
+        yield line_no, edge, tokens  # in the file's orientation
 
 
 def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
     """Read a stream file.  A header that gives ``m`` must be followed by
     exactly ``m`` edge lines."""
-    header, lines = _parse_lines(path, "u v")
-    edges = [edge for _, edge, _ in islice(lines, header.m)]
-    if header.m is not None:
-        extra = next(lines, None)
-        if extra is not None:
-            raise TranscriptParseError(f"edge beyond the header's m {header.m}", extra[0])
-        if len(edges) < header.m:
-            raise TranscriptParseError(
-                f"header says m {header.m} but the file has {len(edges)} edges", 1
-            )
+    from .batch import edge_block  # numpy loads on first use
+
+    data, header, blocks = _blocks(path)
+    n, m = header.n, header.m
+    edges: list[Edge] = []
+    for line_no, start, stop in blocks:
+        block = edge_block(data, start, stop, n)
+        if block is None:
+            for line_no, edge, _ in _parse_lines(data[start:stop], line_no, n, "u v"):
+                if len(edges) == m:
+                    raise TranscriptParseError(f"edge beyond the header's m {m}", line_no)
+                edges.append(edge)
+        elif m is not None and len(edges) + len(block) > m:
+            # a canonical block holds one edge per line
+            raise TranscriptParseError(f"edge beyond the header's m {m}", line_no + m - len(edges))
+        else:
+            edges += block
+    if m is not None and len(edges) < m:
+        raise TranscriptParseError(f"header says m {m} but the file has {len(edges)} edges", 1)
     return header, edges
 
 
@@ -458,19 +501,21 @@ def write_transcript(path: str | Path, transcript: Transcript) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    header, lines = _parse_lines(path, "u v colour")
-    line_nos: list[int] = []
-    records: list[tuple[Edge, ColourId]] = []
-    for line_no, edge, tokens in lines:
-        try:
-            records.append((edge, parse_colour(tokens[2])))
-        except ValidationError as exc:
-            raise TranscriptParseError(str(exc), line_no)
-        line_nos.append(line_no)
-    transcript = Transcript(header)
-    try:
+    """Read a transcript file straight into a transcript's columns."""
+    from .batch import transcript_block  # numpy loads on first use
+
+    data, header, blocks = _blocks(path)
+    n, transcript = header.n, Transcript(header)
+    for line_no, start, stop in blocks:
+        if transcript_block(data, start, stop, n, transcript):
+            continue
+        records = []
+        for line_no, edge, tokens in _parse_lines(data[start:stop], line_no, n, "u v colour"):
+            try:
+                record = (edge, parse_colour(tokens[2]))
+                _check_held(record)
+            except ValidationError as exc:
+                raise TranscriptParseError(str(exc), line_no)
+            records.append(record)
         transcript.extend(records)
-    except ValidationError as exc:
-        bad = next(i for i, record in enumerate(records) if not _holds(record))
-        raise TranscriptParseError(str(exc), line_nos[bad])
     return transcript

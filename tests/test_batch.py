@@ -1,11 +1,12 @@
 """Differential tests of the numpy batch paths against their scalar oracles:
 ``BipartiteColorer.feed_many`` against ``feed``, ``verify`` against
-``_verify_scalar`` and ``check_bipartition`` against a record-by-record
-``bit`` loop."""
+``_verify_scalar``, ``check_bipartition`` against a record-by-record
+``bit`` loop, and the file readers' block parsers against the line parser."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
@@ -26,10 +27,14 @@ from streamcolor import (
     TripleColour,
     ValidationError,
     check_bipartition,
+    read_edge_list,
+    read_transcript,
     run_stream,
     verify,
+    write_edge_list,
+    write_transcript,
 )
-from streamcolor import bipartite
+from streamcolor import batch, bipartite, core
 from streamcolor.rng import MASK64, SplitMix64
 from streamcolor.batch import same_edge_multiset, verify_columns
 from streamcolor.verify import _verify_scalar
@@ -327,3 +332,110 @@ def test_same_edge_multiset_matches_counter(case):
 
     want = canonical(edges) == canonical(edge for edge, _ in transcript.records)
     assert same_edge_multiset(edges, transcript) == want
+
+
+# ---------------------------------------------------------------------------
+# the file readers' block parsers
+
+
+UINTS = st.integers(0, 12) | st.sampled_from([10**17, 10**18 - 1, 10**18, (1 << 63) - 1])
+COLOURS = st.one_of(
+    st.builds(ChunkColour, UINTS, UINTS),
+    st.builds(TripleColour, UINTS, UINTS, UINTS),
+    st.builds(OverflowColour, UINTS),
+)
+# near-canonical tokens: a sign, a leading zero, 19 digits (within int64 or
+# not), beyond int64, and an underscore and a non-ASCII digit, which int() reads
+ODD_IDS = [b"+1", b"-1", b"-0", b"01", b"00", b"1000000000000000000",
+           b"9223372036854775808", b"123456789012345678901234", b"1_0", b"\xd9\xa3"]
+ODD_COLOURS = [b"c:1", b"t:1:2", b"c:01:2", b"o:-1", b"o:+1", b"c:1:1000000000000000000",
+               b"t:0:0:9223372036854775808", b"x:1:2", b"C:1:2", b"c:1:2:", b"o:1 "]
+
+
+@st.composite
+def files(draw):
+    """A stream or transcript file as the writers emit it, then changed at
+    a few places; returns whether it is a transcript, its bytes and whether
+    the block parsers must take all of it."""
+    colours = draw(st.booleans())
+    n = draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in draw(st.lists(pair, max_size=40))]
+    m = len(edges) if draw(st.booleans()) and len(edges) <= n * (n - 1) // 2 else None
+    header = StreamHeader(n, m, draw(st.none() | st.integers(0, 99)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        if colours:
+            records = [(edge, draw(COLOURS)) for edge in edges]
+            write_transcript(path, Transcript(header, records))
+            canonical = all(x < 10**18 for _, colour in records for x in colour)
+        else:
+            write_edge_list(path, header, edges)
+            canonical = True
+        lines = path.read_bytes().split(b"\n")[:-1]
+
+    ending = b"\n"
+    for _ in range(draw(st.integers(0, 3))):
+        canonical = False
+        at = draw(st.integers(1, len(lines)))  # len(lines): past the last line
+        tokens = lines[at].split(b" ") if at < len(lines) else []
+        change = draw(st.sampled_from(
+            ["id", "range", "loop", "colour", "blank", "spaces", "crlf", "m", "end"]))
+        j = draw(st.integers(0, 1))
+        if change == "blank":
+            lines.insert(at, draw(st.sampled_from([b"", b" ", b"\t", b"\r", b"\x0c"])))
+        elif change == "m":
+            lines[0] = lines[0].split(b" m ")[0].split(b" seed ")[0] + b" m %d" % draw(
+                st.integers(0, n * (n - 1) // 2))
+        elif change == "end":
+            ending = b""
+        elif len(tokens) < 2:  # past the last line, or a line made blank
+            continue
+        elif change == "id":
+            tokens[j] = draw(st.sampled_from(ODD_IDS))
+        elif change == "range":
+            tokens[j] = b"%d" % (n + draw(st.integers(0, 3)))
+        elif change == "loop":
+            tokens[1 - j] = tokens[j]
+        elif change == "colour" and colours:
+            tokens[2] = draw(st.sampled_from(ODD_COLOURS))
+        elif change == "spaces":
+            tokens[j] += draw(st.sampled_from([b" ", b"\t", b"\x0b"]))
+        elif change == "crlf":
+            tokens[-1] += b"\r"
+        if len(tokens) >= 2:
+            lines[at] = b" ".join(tokens)
+    return colours, b"\n".join(lines) + ending, canonical
+
+
+def read_outcome(reader, path):
+    """What ``reader`` returns for ``path``, with a transcript as its header
+    and columns, or the type, message and line number of what it raised."""
+    try:
+        got = reader(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return (got.header, got.columns) if isinstance(got, Transcript) else got
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=files(), block_bytes=st.sampled_from([1, 5, 16, 64, 1 << 15]))
+def test_block_parsers_read_what_the_line_parser_reads(case, block_bytes):
+    colours, text, canonical = case
+    reader = read_transcript if colours else read_edge_list
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(text)
+        # the whole body as one block, to the line parser
+        with patch.object(core, "_BLOCK_BYTES", len(text)), \
+                patch.object(batch, "edge_block", lambda *args: None), \
+                patch.object(batch, "transcript_block", lambda *args: False):
+            want = read_outcome(reader, path)
+        with patch.object(core, "_BLOCK_BYTES", block_bytes):
+            got = read_outcome(reader, path)
+            if canonical:  # and no block to it
+                with patch.object(core, "_parse_lines", None):
+                    assert read_outcome(reader, path) == got
+    assert got == want
+    assert canonical <= (type(got[0]) is StreamHeader)

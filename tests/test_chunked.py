@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,3 +182,85 @@ def test_chunk_colours_are_vizing_on_the_checked_graph(data):
         for edge, colour in records[first:first + capacity]:
             announced.setdefault(edge, colour)  # a repeat takes a greedy colour
         assert announced == {e: ChunkColour(chunk, c) for e, c in expected.items()}
+
+
+# ---------------------------------------------------------------------------
+# feed_many against the feed loop
+
+
+def state(colorer):
+    """What feed_many must leave exactly as the feed loop does."""
+    return (
+        colorer.meter.peak_words,
+        colorer.meter.current_words,
+        colorer.peak_buffered_edges,
+        colorer.chunk_index,
+        colorer.finished,
+    )
+
+
+def raised(exc):
+    return None if exc is None else (type(exc), str(exc))
+
+
+# edges the loop hands to feed: out of range, negative, a self-loop, not an
+# Edge (feed reads edge.u), a float endpoint (feed buffers it and its flush
+# fails) and a bool endpoint (feed buffers it as the int it is)
+NOT_TAKEN = [Edge(0, 99), Edge(-1, 0), Edge(1, 1), (0, 1), Edge(1.0, 0), Edge(True, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_feed_many_is_the_feed_loop(data):
+    # few vertices, so edges repeat in either orientation; capacity 1 to 5,
+    # so chunks flush mid-stream and at the cut between two feed_many calls
+    n = data.draw(st.integers(2, 6))
+    capacity = data.draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in data.draw(st.lists(pair, max_size=40))]
+    if data.draw(st.booleans()):
+        edges.insert(data.draw(st.integers(0, len(edges))), data.draw(st.sampled_from(NOT_TAKEN)))
+    cut = data.draw(st.integers(0, len(edges)))
+    finish_first = data.draw(st.integers(0, 9)) == 0  # every edge comes after finish
+
+    with patch.object(ChunkConfig, "capacity", capacity):
+        loop, batch = chunk_colorer(n, 1), chunk_colorer(n, 1)
+        if finish_first:
+            loop.finish(), batch.finish()
+        for part in (edges[:cut], edges[cut:], None):  # None: finish
+            want, want_error = outcome(lambda: [r for e in part for r in loop.feed(e)], part, loop)
+            got, got_error = outcome(lambda: list(batch.feed_many(iter(part)).records), part, batch)
+            assert repr(got) == repr(want)  # types too: Edge and ChunkColour
+            assert raised(got_error) == raised(want_error)
+            assert state(batch) == state(loop)
+            if want_error is not None:
+                break
+
+
+def outcome(feed, part, colorer):
+    """What ``feed`` announces for ``part`` and what it raised; for no
+    ``part``, what ``finish`` does, unless the colourer has finished."""
+    if part is None:
+        if colorer.finished:
+            return [], None
+        feed = colorer.finish
+    try:
+        return feed(), None
+    except Exception as exc:  # compared, not handled
+        return [], exc
+
+
+def test_feed_many_accounts_for_edges_before_its_input_fails():
+    def failing(edges):
+        yield from edges
+        raise KeyError("input")
+
+    edges = [Edge(0, 1), Edge(2, 1), Edge(0, 2), Edge(1, 3), Edge(3, 0)]
+    loop, batch = chunk_colorer(4, 1), chunk_colorer(4, 1)  # capacity 4
+    for edge in edges:
+        loop.feed(edge)
+    with pytest.raises(KeyError):
+        batch.feed_many(failing(edges))
+    assert state(batch) == state(loop)
+    assert repr(batch.finish()) == repr(loop.finish())

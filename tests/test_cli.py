@@ -351,6 +351,10 @@ def garbage_lines(n, colours):
         vertex.map(lambda x: f"{x} {x}{tail}"),  # self-loop
         st.tuples(vertex, far).map(lambda t: f"{t[0]} {t[1]}{tail}"),
         st.tuples(far, vertex).map(lambda t: f"{t[0]} {t[1]}{tail}"),
+        # two good lines joined by a character that str.splitlines breaks at
+        st.tuples(pair, pair, st.sampled_from("\x1c\x1d\x1e\x85\u2028")).map(
+            lambda t: f"{t[0][0]} {t[0][1]}{tail}{t[2]}{t[1][0]} {t[1][1]}{tail}"
+        ),
     ]
     if colours:
         wide = st.integers(1 << 63, 1 << 70) | st.integers(-(1 << 70), -(1 << 63) - 1)
@@ -358,17 +362,27 @@ def garbage_lines(n, colours):
             st.tuples(pair, TOKEN.filter(_unparseable)).map(lambda t: f"{t[0][0]} {t[0][1]} {t[1]}"),
             st.tuples(pair, wide).map(lambda t: f"{t[0][0]} {t[0][1]} c:{t[1]}:0"),  # beyond int64
         ]
-    return st.one_of(lines)
+
+    def undecodable(case):
+        """A good line with a byte put in that is not UTF-8."""
+        (u, v), byte, at = case
+        line = f"{u} {v}{tail}".encode()
+        return line[:at] + byte + line[at:]
+
+    bad_bytes = st.tuples(pair, st.sampled_from([b"\xff", b"\xc3", b"\x80"]), st.integers(0, 8))
+    return st.one_of(lines).map(str.encode) | bad_bytes.map(undecodable)
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), colours=st.booleans())
 def test_garbage_line_exits_two_naming_it(data, colours):
-    # a few valid lines, blanks among them, and one garbage line, which may be the header
+    # a few valid lines, blanks among them, and one garbage line, which may be
+    # the header; a blank line may hold ASCII whitespace, which is no line break
     n = 6
-    body = data.draw(st.lists(st.sampled_from(["0 1", "2 3", "5 1", ""]), max_size=6))
-    body = [f"{line} c:0:{i}" if line and colours else line for i, line in enumerate(body)]
-    lines = [f"n {n}", *body]
+    blank = ["", "\x0c", "\r", " \t"]
+    body = data.draw(st.lists(st.sampled_from(["0 1", "2 3", "5 1", *blank]), max_size=6))
+    body = [f"{line} c:0:{i}" if line.strip() and colours else line for i, line in enumerate(body)]
+    lines = [f"n {n}".encode(), *map(str.encode, body)]
     at = data.draw(st.integers(0, len(lines)))
     garbage = data.draw(garbage_lines(n, colours))
     if at == 0:
@@ -378,7 +392,7 @@ def test_garbage_line_exits_two_naming_it(data, colours):
     with tempfile.TemporaryDirectory() as tmp:
         good, bad = Path(tmp) / "g.el", Path(tmp) / "bad"
         good.write_text(f"n {n}\n0 1\n")
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join(lines) + b"\n")
         if colours:
             argv = ["verify", str(bad), str(good)]
         else:
@@ -386,6 +400,23 @@ def test_garbage_line_exits_two_naming_it(data, colours):
         rc, out, err = main_quietly(argv)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: line {at + 1}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"n 3 m 2\n0 1\n\xff\n", "line 3: not UTF-8 text: b'\\xff'"),
+        (b"n 3 m 2\n0 1\x1c1 2\n", "line 2: expected `u v`, got '0 1\\x1c1 2'"),
+        (b"n 5\n\x0c\n0 1\n2 2\n", "line 4: self-loop (2,2) is not a valid edge"),
+    ],
+    ids=["undecodable", "file-separator", "form-feed"],
+)
+def test_lines_end_at_newline_only(out_env, text, message):
+    # str.splitlines would break at \x1c and \x0c; a line must be UTF-8
+    graph = out_env / "g.el"
+    graph.write_bytes(text)
+    rc, out, err = main_quietly(["run", "--algo", "chunk", "--graph", str(graph)])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @settings(max_examples=30, deadline=None)
