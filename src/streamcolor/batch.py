@@ -1,11 +1,11 @@
-"""numpy batch kernels behind ``BipartiteColorer.feed_many``, ``verify``,
+"""numpy batch kernels behind ``BipartiteColorer._take_run``, ``verify``,
 ``check_bipartition``, ``chunk_concentration``, ``streamcolor verify``'s
 edge check and the two file readers.
 
 Each kernel computes exactly what its scalar twin computes, on a
 transcript's int64 columns, and declines what it cannot hold:
-``feed_block`` stops before an edge that ``BipartiteColorer.feed`` must
-take, ``verify_columns`` returns None for a transcript that ``verify``'s
+``feed_block`` stops before an edge whose index draw ``feed`` must redraw,
+``verify_columns`` returns None for a transcript that ``verify``'s
 record-by-record loop must decide, and ``edge_block`` and
 ``transcript_block`` decline a block of a file that the line parser must
 read.  This module is the only one that imports numpy at load time; its
@@ -16,7 +16,7 @@ colourer load neither it nor numpy.
 from __future__ import annotations
 
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,29 +57,14 @@ def _signature_limbs(colorer: BipartiteColorer):
     return colorer._signature_limbs
 
 
-def feed_block(colorer: BipartiteColorer, block: list, start: int, out: Transcript) -> int:
-    """Colour the longest run of ``block[start:]`` that needs no scalar
-    step, append its announcements to ``out``'s columns, and return its
-    length.  Reads and advances ``colorer``'s counters, index draws and
+def feed_block(colorer: BipartiteColorer, block: list, start: int, stop: int, out: Transcript) -> int:
+    """Colour the checked edges ``block[start:stop]`` up to the first whose
+    index draw ``below`` would reject, append their announcements to
+    ``out``'s columns, and return the index of that edge (``stop`` if
+    none).  Reads and advances ``colorer``'s counters, index draws and
     overflow serial exactly as ``BipartiteColorer.feed`` would on each
     edge."""
-    if colorer.finished:
-        return 0
-    n = colorer.n
-    stop = start
-    for edge in islice(block, start, None):
-        if type(edge) is not Edge:
-            break
-        u, v = edge
-        if type(u) is not int or type(v) is not int or u == v:
-            break
-        if not (0 <= u < n and 0 <= v < n):
-            break
-        stop += 1
     k = stop - start
-    if k == 0:
-        return 0
-
     uv = np.fromiter(chain.from_iterable(block[start:stop]), dtype=np.int64, count=2 * k)
     uv = uv.reshape(k, 2)
     limbs = _signature_limbs(colorer)
@@ -142,7 +127,7 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, out: Transcri
     kind = np.where(drawn, 1, 2).astype(np.int64)
     for column, values in zip(out.columns, (uv.min(axis=1), uv.max(axis=1), kind, *fields)):
         column.frombytes(values.view(np.uint8))
-    return k
+    return start + k
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,17 @@ If two signatures are identical there is no differing index; such edges get
 globally unique overflow colours instead of crashing.  At the default
 signature width (36 ln n bits) identical signatures essentially never occur.
 
-``feed`` colours one edge; ``feed_many`` colours a whole stream with numpy,
-a block at a time, into transcript columns, and announces exactly what
-``feed`` would.  ``feed`` stays the reference the batch path is tested
-against.  The counters are one int64 array of n*s words, the n*s the meter
-charges: ``feed`` indexes it, ``feed_many`` gathers and scatters through a
-numpy view of it.
+``feed`` colours one edge; ``feed_many`` hands each checked run of edges to
+``batch.feed_block``, which colours it with numpy into transcript columns
+and announces exactly what ``feed`` would.  ``feed`` stays the reference
+the batch path is tested against.  The counters are one int64 array of n*s
+words, the n*s the meter charges: ``feed`` indexes it, ``feed_block``
+gathers and scatters through a numpy view of it.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
-from itertools import islice
 
 from .core import (
     ColourId,
@@ -31,14 +29,11 @@ from .core import (
     Edge,
     OverflowColour,
     StreamColorer,
-    StreamHeader,
     Transcript,
     TripleColour,
     ValidationError,
 )
 from .rng import MASK64, SplitMix64
-
-_BLOCK = 8192  # edges per numpy block in feed_many; bounds its temporaries
 
 
 def _select_bit(word: int, rank: int) -> int:
@@ -118,25 +113,10 @@ class BipartiteColorer(StreamColorer):
         self._counters[kv] = cv + 1
         return [(edge, TripleColour(i, cu, cv))]
 
-    def feed_many(self, edges: Iterable[Edge]) -> Transcript:
-        """Feed ``edges`` in order and return the announcements as a
-        transcript: they, the counters, draws and overflow serials are those
-        of calling :meth:`feed` on each edge, computed with numpy a block at
-        a time.  An edge the batch cannot take (an invalid one, or one whose
-        index draw ``below`` would reject) goes to :meth:`feed`, so its
-        errors are feed's too."""
+    def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
         from .batch import feed_block  # numpy and the kernel load on first use
 
-        out = Transcript(StreamHeader(self.n))
-        stream = iter(edges)
-        while block := list(islice(stream, _BLOCK)):
-            start = 0
-            while start < len(block):
-                start += feed_block(self, block, start, out)
-                if start < len(block):
-                    out.extend(self.feed(block[start]))
-                    start += 1
-        return out
+        return feed_block(self, block, start, stop, out)
 
     @property
     def overflow_count(self) -> int:

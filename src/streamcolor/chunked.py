@@ -7,19 +7,18 @@ only the colour count depends on the order being random: a random permutation
 spreads each vertex's degree evenly across chunks, so each chunk needs about
 max_degree / num_chunks + 1 colours.
 
-``feed_many`` takes a whole stream in one plain Python loop, with no numpy,
-and each flush appends its chunk's announcements straight to the columns of
-a transcript; ``feed`` flushes through the same step and returns the
-records of its output.
+``feed_many`` hands each checked run of edges to ``_take_run``, which
+buffers it in plain Python, with no numpy; each flush appends its chunk's
+announcements straight to the columns of a transcript.  ``feed`` flushes
+through the same step and returns the records of its output.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .core import ColourId, Edge, StreamColorer, StreamHeader, Transcript, ValidationError
 from .offline import AdjacencyGraph, color_vizing, take_free_colour
@@ -75,34 +74,22 @@ class ChunkColorer(StreamColorer):
             self._flush(out)
         return list(out.records)
 
-    def feed_many(self, edges: Iterable[Edge]) -> Transcript:
-        """Feed ``edges`` in order and return the announcements as a
-        transcript: they, the meter, ``peak_buffered_edges`` and
-        ``chunk_index`` are those of calling :meth:`feed` on each edge.  An
-        edge the loop cannot take (one that is not an ``Edge`` of two ints
-        passing ``checked_edge``, or any edge after ``finish``) goes to
-        :meth:`feed`, so its errors are feed's too."""
-        out = Transcript(StreamHeader(self.n))
-        n, capacity, buffer = self.n, self.config.capacity, self._buffer
-        taken = 0  # edges buffered since the meter last saw the buffer
-        try:
-            for edge in edges:
-                if type(edge) is Edge and not self.finished:
-                    u, v = edge
-                    if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v:
-                        buffer.append(edge if u < v else Edge(v, u))
-                        taken += 1
-                        if len(buffer) == capacity:
-                            self._charge(taken)
-                            taken = 0
-                            self._flush(out)
-                        continue
+    def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
+        """Buffer the checked edges ``block[start:stop]``, flushing each
+        chunk that fills to ``out``, with no numpy; the meter and
+        ``peak_buffered_edges`` see each fill in one step."""
+        buffer, capacity = self._buffer, self.config.capacity
+        taken = 0
+        for edge in islice(block, start, stop):
+            u, v = edge
+            buffer.append(edge if u < v else Edge(v, u))
+            taken += 1
+            if len(buffer) == capacity:
                 self._charge(taken)
                 taken = 0
-                out.extend(self.feed(edge))
-        finally:
-            self._charge(taken)
-        return out
+                self._flush(out)
+        self._charge(taken)
+        return stop
 
     def _flush(self, out: Transcript) -> None:
         """Colour the buffered chunk and append its announcements, in

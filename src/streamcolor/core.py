@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -91,6 +91,24 @@ def checked_edge(edge: Edge, n: int) -> Edge:
     return edge if u < v else Edge(v, u)
 
 
+_BLOCK = 8192  # edges feed_many reads at a time; bounds a run hook's temporaries
+
+
+def _run_end(block: list, start: int, n: int) -> int:
+    """The end of the longest run from ``block[start]`` that a colourer may
+    take without ``feed``: ``Edge``s of two plain ints that ``checked_edge``
+    passes on ``n`` vertices."""
+    stop = start
+    for edge in islice(block, start, None):
+        if type(edge) is not Edge:
+            break
+        u, v = edge
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
+            break
+        stop += 1
+    return stop
+
+
 # The three variants have distinct arities, so tuple equality can never hold
 # across variants; palettes stay disjoint under plain structural comparison.
 
@@ -120,6 +138,16 @@ _ARITY = tuple(len(cls._fields) for cls in _COLOURS)
 _COLOUR_FORMATS = ("c:{}:{}", "t:{}:{}:{}", "o:{}")
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an integer in ASCII digits with an optional sign; the
+    file formats take no other form (``int`` alone reads ``1_0`` and
+    non-ASCII digits)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def format_colour(colour: ColourId) -> str:
     kind = _KIND_OF.get(type(colour))
     if kind is None:
@@ -131,11 +159,11 @@ def parse_colour(text: str) -> ColourId:
     parts = text.split(":")
     try:
         if parts[0] == "c" and len(parts) == 3:
-            return ChunkColour(int(parts[1]), int(parts[2]))
+            return ChunkColour(_decimal(parts[1]), _decimal(parts[2]))
         if parts[0] == "t" and len(parts) == 4:
-            return TripleColour(int(parts[1]), int(parts[2]), int(parts[3]))
+            return TripleColour(_decimal(parts[1]), _decimal(parts[2]), _decimal(parts[3]))
         if parts[0] == "o" and len(parts) == 2:
-            return OverflowColour(int(parts[1]))
+            return OverflowColour(_decimal(parts[1]))
     except ValueError:
         pass
     raise ValidationError(f"unparseable colour {text!r}")
@@ -311,10 +339,11 @@ class StreamColorer:
     triggers, possibly none; ``finish()`` ends the stream and returns the
     rest.  This class makes the contract's checks: ``n`` at construction,
     each fed edge through :func:`checked_edge`, no ``feed`` after ``finish``
-    and no second ``finish``.  A subclass charges its state to ``meter`` and
+    and no second ``finish``.  ``feed_many`` feeds a whole stream as the
+    ``feed`` loop would.  A subclass charges its state to ``meter`` and
     writes ``_take(edge)``, which gets the checked edge with its smaller
     endpoint first; it may write ``_drain()`` for what ``finish`` announces
-    and a faster ``feed_many``.
+    and ``_take_run`` to colour a checked run of edges at once.
     """
 
     peak_buffered_edges = 0  # most edges held unannounced at one time
@@ -339,11 +368,34 @@ class StreamColorer:
 
     def feed_many(self, edges: Iterable[Edge]) -> Transcript:
         """Feed ``edges`` in order and return their announcements as a
-        transcript on ``n`` vertices."""
-        announced: list[tuple[Edge, ColourId]] = []
-        for edge in edges:
-            announced += self.feed(edge)
-        return Transcript(StreamHeader(self.n), announced)
+        transcript on ``n`` vertices; it, the colourer's state and any error
+        are those of extending a transcript by ``feed(edge)`` for each edge.
+        Each run that ``_run_end`` passes goes to ``_take_run`` instead."""
+        out = Transcript(StreamHeader(self.n))
+        stream, full = iter(edges), True
+        while full:
+            block: list = []
+            try:
+                block += islice(stream, _BLOCK)
+                full = len(block) == _BLOCK
+            finally:  # if the input raises, the edges read before it are fed first
+                start = 0
+                while start < len(block):
+                    stop = start if self.finished else _run_end(block, start, self.n)
+                    if stop > start:
+                        start = self._take_run(block, start, stop, out)
+                    if start < len(block):  # feed takes the edge after a run
+                        out.extend(self.feed(block[start]))
+                        start += 1
+        return out
+
+    def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
+        """Append to ``out`` the announcements of the run ``block[start:stop]``
+        and return the index of the first edge it did not take."""
+        for edge in islice(block, start, stop):
+            u, v = edge
+            out.extend(self._take(edge if u < v else Edge(v, u)))
+        return stop
 
     def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
         raise NotImplementedError
@@ -404,8 +456,10 @@ def _parse_header(line: bytes, line_no: int) -> StreamHeader:
     for key, value in zip(tokens[::2], tokens[1::2]):
         if key not in ("n", "m", "seed"):
             raise TranscriptParseError(f"unknown header field {key!r}", line_no)
+        if key in fields:
+            raise TranscriptParseError(f"repeated header field {key!r}", line_no)
         try:
-            fields[key] = int(value)
+            fields[key] = _decimal(value)
         except ValueError:
             raise TranscriptParseError(f"non-integer {key} value {value!r}", line_no)
     try:
@@ -458,7 +512,7 @@ def _parse_lines(
         if len(tokens) != width:
             raise TranscriptParseError(f"expected `{shape}`, got {line!r}", line_no)
         try:
-            edge = Edge(int(tokens[0]), int(tokens[1]))
+            edge = Edge(_decimal(tokens[0]), _decimal(tokens[1]))
             checked_edge(edge, n)
         except ValidationError as exc:
             raise TranscriptParseError(str(exc), line_no)

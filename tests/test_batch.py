@@ -34,7 +34,7 @@ from streamcolor import (
     write_edge_list,
     write_transcript,
 )
-from streamcolor import batch, bipartite, core
+from streamcolor import batch, core
 from streamcolor.rng import MASK64, SplitMix64
 from streamcolor.batch import same_edge_multiset, verify_columns
 from streamcolor.verify import _verify_scalar
@@ -81,14 +81,14 @@ class TestFeedMany:
         stream=streams(),
         s=st.sampled_from(WIDTHS),
         seed=st.integers(0, MASK64),
-        block=st.sampled_from((2, 5, bipartite._BLOCK)),
+        block=st.sampled_from((2, 5, core._BLOCK)),
     )
     def test_matches_feed(self, stream, s, seed, block):
         n, edges, (a, b) = stream
         scalar = BipartiteColorer(n, s, seed)
         batch = BipartiteColorer(n, s, seed)
         want = scalar_records(scalar, edges)
-        with patch.object(bipartite, "_BLOCK", block):
+        with patch.object(core, "_BLOCK", block):
             got = list(batch.feed_many(edges[:a]).records)
             got += scalar_records(batch, edges[a:b])
             got += batch.feed_many(iter(edges[b:])).records
@@ -345,11 +345,14 @@ COLOURS = st.one_of(
     st.builds(OverflowColour, UINTS),
 )
 # near-canonical tokens: a sign, a leading zero, 19 digits (within int64 or
-# not), beyond int64, and an underscore and a non-ASCII digit, which int() reads
+# not), beyond int64, and an underscore and non-ASCII digits, which int()
+# reads but the formats reject
 ODD_IDS = [b"+1", b"-1", b"-0", b"01", b"00", b"1000000000000000000",
-           b"9223372036854775808", b"123456789012345678901234", b"1_0", b"\xd9\xa3"]
+           b"9223372036854775808", b"123456789012345678901234", b"1_0", b"\xd9\xa3",
+           b"0_1", b"\xef\xbc\x91"]
 ODD_COLOURS = [b"c:1", b"t:1:2", b"c:01:2", b"o:-1", b"o:+1", b"c:1:1000000000000000000",
-               b"t:0:0:9223372036854775808", b"x:1:2", b"C:1:2", b"c:1:2:", b"o:1 "]
+               b"t:0:0:9223372036854775808", b"x:1:2", b"C:1:2", b"c:1:2:", b"o:1 ",
+               b"c:1_0:2", b"t:\xd9\xa3:0:0", b"o:\xef\xbc\x91"]
 
 
 @st.composite

@@ -249,18 +249,3 @@ def outcome(feed, part, colorer):
         return feed(), None
     except Exception as exc:  # compared, not handled
         return [], exc
-
-
-def test_feed_many_accounts_for_edges_before_its_input_fails():
-    def failing(edges):
-        yield from edges
-        raise KeyError("input")
-
-    edges = [Edge(0, 1), Edge(2, 1), Edge(0, 2), Edge(1, 3), Edge(3, 0)]
-    loop, batch = chunk_colorer(4, 1), chunk_colorer(4, 1)  # capacity 4
-    for edge in edges:
-        loop.feed(edge)
-    with pytest.raises(KeyError):
-        batch.feed_many(failing(edges))
-    assert state(batch) == state(loop)
-    assert repr(batch.finish()) == repr(loop.finish())

@@ -143,7 +143,11 @@ def test_malformed_value_exits_two(out_env, capsys, argv):
     assert captured.out == ""  # rejected before any run
 
 
-@pytest.mark.parametrize("header", ["n 5 q 3", "n five", "n 0", "n 4 m 7", "n 4 seed x"])
+@pytest.mark.parametrize(
+    "header",
+    ["n 5 q 3", "n five", "n 0", "n 4 m 7", "n 4 seed x", "n 5 n 6", "n 6 m 2 m 1",
+     "n 6 seed 1 seed 1", "n 1_0", "n \u0663"],
+)
 def test_bad_header_exits_two_naming_line_one(out_env, capsys, header):
     (out_env / "g.el").write_text(f"{header}\n0 1\n")
     assert main(["run", "--algo", "chunk", "--graph", str(out_env / "g.el")]) == 2
@@ -348,6 +352,8 @@ def garbage_lines(n, colours):
         st.lists(TOKEN, min_size=1, max_size=5).filter(lambda ts: len(ts) != width).map(" ".join),
         st.tuples(not_int, vertex).map(lambda t: f"{t[0]} {t[1]}{tail}"),
         st.tuples(vertex, not_int).map(lambda t: f"{t[0]} {t[1]}{tail}"),
+        # an endpoint int() reads as one in range, but not in ASCII digits alone
+        st.sampled_from(["0_1", "+0_2", "\u0663", "\uff14", "5\u00a0"]).map(lambda t: f"0 {t}{tail}"),
         vertex.map(lambda x: f"{x} {x}{tail}"),  # self-loop
         st.tuples(vertex, far).map(lambda t: f"{t[0]} {t[1]}{tail}"),
         st.tuples(far, vertex).map(lambda t: f"{t[0]} {t[1]}{tail}"),
@@ -361,6 +367,7 @@ def garbage_lines(n, colours):
         lines += [
             st.tuples(pair, TOKEN.filter(_unparseable)).map(lambda t: f"{t[0][0]} {t[0][1]} {t[1]}"),
             st.tuples(pair, wide).map(lambda t: f"{t[0][0]} {t[0][1]} c:{t[1]}:0"),  # beyond int64
+            st.sampled_from(["c:0_1:0", "t:\u0663:0:0", "o:\uff11"]).map(lambda c: f"0 1 {c}"),
         ]
 
     def undecodable(case):

@@ -1,5 +1,8 @@
 """The colourer contract every ``StreamColorer`` keeps, checked once for all
-three colourers, and ``run_stream`` against an explicit feed loop."""
+three colourers, and ``run_stream`` and ``feed_many`` against an explicit
+feed loop."""
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,12 @@ from streamcolor import (
     Edge,
     GreedyStreamColorer,
     StreamHeader,
+    Transcript,
     ValidationError,
     run_stream,
 )
+from streamcolor import core
+from test_chunked import NOT_TAKEN
 
 COLORERS = {
     "chunk": lambda n: ChunkColorer(ChunkConfig(n=n, alpha=1)),
@@ -73,3 +79,77 @@ def test_run_stream_is_the_feed_loop(make, data):
     assert repr(list(transcript.records)) == repr(want)
     assert colorer.meter.peak_words == explicit.meter.peak_words
     assert colorer.peak_buffered_edges == explicit.peak_buffered_edges
+
+
+# ---------------------------------------------------------------------------
+# feed_many against the feed loop
+
+
+def state(colorer):
+    """All that feed_many must leave as the feed loop does."""
+    private = {
+        ChunkColorer: lambda c: (c.chunk_index, c._buffer),
+        BipartiteColorer: lambda c: (c._counters, c._choice._state, c.overflow_count),
+        GreedyStreamColorer: lambda c: dict(c._used),
+    }[type(colorer)](colorer)
+    meter = colorer.meter
+    return repr((meter.peak_words, meter.current_words, colorer.peak_buffered_edges,
+                 colorer.finished, private))
+
+
+def fed(colorer, edges):
+    """The feed loop: a transcript extended by ``feed(edge)`` for each edge."""
+    out = Transcript(StreamHeader(colorer.n))
+    for edge in edges:
+        out.extend(colorer.feed(edge))
+    return out
+
+
+def outcome(fn):
+    """The repr of what ``fn`` returns (types too: Edge and colour
+    NamedTuples), or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make", COLORERS.values(), ids=COLORERS)
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_feed_many_is_the_feed_loop_for_every_colourer(make, data):
+    # few vertices, so edges repeat in either orientation and chunks of
+    # capacity n flush mid-stream; blocks of 2 and 5 edges, so runs cross
+    # block boundaries
+    n = data.draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [Edge(*p) for p in data.draw(st.lists(pair, max_size=40))]
+    if data.draw(st.booleans()):
+        edges.insert(data.draw(st.integers(0, len(edges))), data.draw(st.sampled_from(NOT_TAKEN)))
+    loop, batch = make(n), make(n)
+    if data.draw(st.integers(0, 9)) == 0:  # every edge comes after finish
+        loop.finish(), batch.finish()
+
+    want = outcome(lambda: list(fed(loop, edges).records))
+    with patch.object(core, "_BLOCK", data.draw(st.sampled_from((2, 5, core._BLOCK)))):
+        got = outcome(lambda: list(batch.feed_many(iter(edges)).records))
+    assert got == want
+    assert state(batch) == state(loop)
+    assert outcome(batch.finish) == outcome(loop.finish)
+
+
+@pytest.mark.parametrize("make", COLORERS.values(), ids=COLORERS)
+def test_feed_many_accounts_for_edges_before_its_input_fails(make):
+    def failing(edges):
+        yield from edges
+        raise KeyError("input")
+
+    edges = [Edge(0, 1), Edge(2, 1), Edge(0, 2), Edge(1, 3), Edge(3, 0)]
+    loop, batch = make(4), make(4)  # chunk capacity 4
+    for edge in edges:
+        loop.feed(edge)
+    with pytest.raises(KeyError):
+        batch.feed_many(failing(edges))
+    assert state(batch) == state(loop)
+    assert repr(batch.finish()) == repr(loop.finish())

@@ -135,9 +135,13 @@ class TestColourIds:
         assert format_colour(OverflowColour(9)) == "o:9"
 
     def test_parse_rejects_garbage(self):
-        for bad in ("x:1:2", "c:1", "t:1:2", "o:a", ""):
+        # int() also reads an underscore, a non-ASCII digit and padding
+        for bad in ("x:1:2", "c:1", "t:1:2", "o:a", "", "c:1_0:3", "t:\u0663:0:0", "o:\uff11",
+                    "c: 1:2", "o:+"):
             with pytest.raises(ValidationError):
                 parse_colour(bad)
+        assert parse_colour("c:+5:007") == ChunkColour(5, 7)
+        assert parse_colour("o:-1") == OverflowColour(-1)
 
 
 INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
@@ -292,9 +296,12 @@ class TestFileFormats:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.el"
-        path.write_text("vertices 5\n")
-        with pytest.raises(TranscriptParseError):
-            read_edge_list(path)
+        for header in ("vertices 5", "n 5 n 6", "n 6 m 2 m 1", "n 6 seed 3 seed 3", "n 1_0",
+                       "n \u0663", "n 6 m \uff11"):
+            path.write_text(f"{header}\n0 5\n")
+            with pytest.raises(TranscriptParseError) as err:
+                read_edge_list(path)
+            assert err.value.line_no == 1, header
 
     def test_bad_colour_line_number(self, tmp_path):
         path = tmp_path / "bad.tr"
