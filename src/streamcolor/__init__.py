@@ -30,7 +30,6 @@ from .core import (
     ValidationError,
     WrongAlgorithmError,
     canonicalize,
-    format_colour,
     parse_colour,
     read_edge_list,
     read_transcript,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Edge, Transcript, WrongAlgorithmError, canonicalize
+from .core import _ARITY, _KINDS, Edge, Transcript, WrongAlgorithmError, canonicalize
 from .verify import PaletteKey, PaletteStats, VerificationReport
 
 if TYPE_CHECKING:
@@ -125,8 +125,7 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, stop: int, ou
     fields[0, ~drawn] = np.arange(serial, serial + k - draws)
     colorer._overflow_serial += k - draws
     kind = np.where(drawn, 1, 2).astype(np.int64)
-    for column, values in zip(out.columns, (uv.min(axis=1), uv.max(axis=1), kind, *fields)):
-        column.frombytes(values.view(np.uint8))
+    out._append(uv.min(axis=1), uv.max(axis=1), kind, *fields)
     return start + k
 
 
@@ -197,12 +196,12 @@ def verify_columns(transcript: Transcript) -> VerificationReport | None:
 
     edge_count = np.bincount(palette, minlength=palette_count).tolist()
     max_degree, highest = max_degree.tolist(), highest.tolist()
-    labels = ("chunk", "triple")
     palettes: dict[PaletteKey, PaletteStats] = {}
     for p in np.argsort(first).tolist():
         row = int(first[p])
         code = int(kind[row])
-        key = (labels[code], int(index[row])) if code < 2 else ("overflow",)
+        label = _KINDS[code][2]
+        key = (label, int(index[row])) if code < 2 else (label,)
         local, left, right = highest[p]
         palettes[key] = PaletteStats(
             edge_count=edge_count[p],
@@ -323,11 +322,12 @@ def same_edge_multiset(edges: list[Edge], transcript: Transcript) -> bool:
 # at a time: the engine keeps a little state per line it repeats over.
 _UINT = rb"(?:0|[1-9][0-9]{0,17})"
 _EDGE_LINES = re.compile(rb"(?:U U\n)*".replace(b"U", _UINT))
-_TRANSCRIPT_LINES = re.compile(rb"(?:U U (?:c:U:U|t:U:U:U|o:U)\n)*".replace(b"U", _UINT))
+_COLOUR = "|".join(letter + ":U" * arity for (_, letter, _), arity in zip(_KINDS, _ARITY))
+_TRANSCRIPT_LINES = re.compile(rf"(?:U U (?:{_COLOUR})\n)*".encode().replace(b"U", _UINT))
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
-_KIND_OF_LETTER = np.zeros(256, dtype=np.int64)  # c 0 chunk, t 1 triple, o 2 overflow
-_KIND_OF_LETTER[[ord("t"), ord("o")]] = 1, 2
-_FIELDS = np.array([2, 3, 1])  # colour fields of each kind
+_KIND_OF_LETTER = np.zeros(256, dtype=np.int64)  # a colour letter's kind
+_KIND_OF_LETTER[[ord(letter) for _, letter, _ in _KINDS]] = range(len(_KINDS))
+_FIELDS = np.array(_ARITY)  # colour fields of each kind
 
 
 def _numbers(b: np.ndarray) -> np.ndarray:
@@ -378,6 +378,5 @@ def transcript_block(data: bytes, start: int, stop: int, n: int, out: Transcript
         return False
     c1[width < 4] = 0
     c2[width < 5] = 0
-    for column, values in zip(out.columns, (u, v, kind, c0, c1, c2)):
-        column.frombytes(values.view(np.uint8))
+    out._append(u, v, kind, c0, c1, c2)
     return True

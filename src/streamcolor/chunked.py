@@ -72,7 +72,7 @@ class ChunkColorer(StreamColorer):
         out = Transcript(StreamHeader(self.n))
         if self._buffer:
             self._flush(out)
-        return list(out.records)
+        return list(out)
 
     def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
         """Buffer the checked edges ``block[start:stop]``, flushing each
@@ -121,16 +121,11 @@ class ChunkColorer(StreamColorer):
         else:
             colours = list(map(local.__getitem__, chunk))
 
-        k = len(chunk)
         ends = array("q", chain.from_iterable(chunk))
-        for column, values in zip(
-            out.columns,
-            (ends[0::2], ends[1::2], array("q", [0]) * k, array("q", [self.chunk_index]) * k,
-             array("q", colours), array("q", [0]) * k),
-        ):
-            column.extend(values)
+        # kind 0 (chunk), the chunk index and the local colour; c2 stays 0
+        out._append(ends[0::2], ends[1::2], 0, self.chunk_index, array("q", colours))
 
         self.meter.release(workspace)
-        self.meter.release(2 * k)
+        self.meter.release(2 * len(chunk))
         chunk.clear()
         self.chunk_index += 1

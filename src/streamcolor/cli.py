@@ -206,7 +206,7 @@ def _emit_csv(rows: list[dict], path: str | None) -> None:
         target = _resolve(path, path)
         new = not target.exists()
         with open(target, "a") as fh:
-            fh.write(text if new else "\n".join(text.splitlines()[2:]) + "\n")
+            fh.write(text if new else text.split("\n", 2)[2])  # no version or header
     else:
         print(text, end="")
 

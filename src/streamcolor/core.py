@@ -16,11 +16,12 @@ stream.  Colours live in one of three disjoint namespaces:
 
 A transcript stores its records as six parallel int64 columns
 (``array('q')``, so no numpy is needed to build one): ``u`` and ``v`` as
-announced, the colour's kind (0 chunk, 1 triple, 2 overflow) and its fields
-``c0``, ``c1``, ``c2`` in order, zero where the colour has fewer.  The batch
-kernels read them zero-copy with ``numpy.frombuffer``.  ``records`` is a
-read-only view of the same announcements as ``(Edge, colour)`` NamedTuples,
-built on first access; its length is the columns' and builds nothing.
+announced, the colour's kind (its index in ``_KINDS``: 0 chunk, 1 triple,
+2 overflow) and its fields ``c0``, ``c1``, ``c2`` in order, zero where the
+colour has fewer.  The batch kernels read them zero-copy with
+``numpy.frombuffer``.  A transcript is also the read-only sequence of its
+announcements, each ``(Edge, colour)`` built from the columns when read;
+taking its length builds nothing.
 
 The two file readers parse a block of lines at a time: ``read_edge_list``
 returns the stream's edges, and ``read_transcript`` writes a transcript's
@@ -84,6 +85,8 @@ def checked_edge(edge: Edge, n: int) -> Edge:
     """The one edge rule, applied once where an edge enters: both endpoints
     in 0..n-1 and distinct.  Returns the edge with the smaller endpoint first."""
     u, v = edge.u, edge.v
+    if type(u) is not int or type(v) is not int:
+        raise ValidationError(f"edge {edge!r} has an endpoint that is not an int")
     if not (0 <= u < n and 0 <= v < n):
         raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
     if u == v:
@@ -131,11 +134,16 @@ class OverflowColour(NamedTuple):
 ColourId = Union[ChunkColour, TripleColour, OverflowColour]
 
 
-# a colour's kind code in a transcript's ``kind`` column, and its class
-_COLOURS = (ChunkColour, TripleColour, OverflowColour)
-_KIND_OF = {cls: kind for kind, cls in enumerate(_COLOURS)}
-_ARITY = tuple(len(cls._fields) for cls in _COLOURS)
-_COLOUR_FORMATS = ("c:{}:{}", "t:{}:{}:{}", "o:{}")
+# The colour kinds: each one's class, its letter in a transcript file and
+# its palette label.  A kind's index is its code in a transcript's ``kind``
+# column, and its arity is its class's number of fields.
+_KINDS = (
+    (ChunkColour, "c", "chunk"),
+    (TripleColour, "t", "triple"),
+    (OverflowColour, "o", "overflow"),
+)
+_KIND_OF = {cls: kind for kind, (cls, _, _) in enumerate(_KINDS)}
+_ARITY = tuple(len(cls._fields) for cls, _, _ in _KINDS)
 
 
 def _decimal(text: str) -> int:
@@ -148,24 +156,14 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def format_colour(colour: ColourId) -> str:
-    kind = _KIND_OF.get(type(colour))
-    if kind is None:
-        raise ValidationError(f"not a colour: {colour!r}")
-    return _COLOUR_FORMATS[kind].format(*colour)
-
-
 def parse_colour(text: str) -> ColourId:
-    parts = text.split(":")
-    try:
-        if parts[0] == "c" and len(parts) == 3:
-            return ChunkColour(_decimal(parts[1]), _decimal(parts[2]))
-        if parts[0] == "t" and len(parts) == 4:
-            return TripleColour(_decimal(parts[1]), _decimal(parts[2]), _decimal(parts[3]))
-        if parts[0] == "o" and len(parts) == 2:
-            return OverflowColour(_decimal(parts[1]))
-    except ValueError:
-        pass
+    letter, *fields = text.split(":")
+    for cls, mark, _ in _KINDS:
+        if letter == mark and len(fields) == len(cls._fields):
+            try:
+                return cls(*map(_decimal, fields))
+            except ValueError:
+                break
     raise ValidationError(f"unparseable colour {text!r}")
 
 
@@ -201,15 +199,21 @@ def _check_held(record: tuple[Edge, ColourId]) -> None:
         raise ValidationError(f"record {record!r} is not an Edge and a colour of int64s")
 
 
-class Transcript:
+def _record(u: int, v: int, kind: int, c0: int, c1: int, c2: int) -> tuple[Edge, ColourId]:
+    """The (edge, colour) of one row of a transcript's columns."""
+    return Edge(u, v), _KINDS[kind][0](*(c0, c1, c2)[: _ARITY[kind]])
+
+
+class Transcript(Sequence):
     """The recorded output stream: (edge, colour) in announcement order, held
-    as the six int64 columns ``u``, ``v``, ``kind``, ``c0``, ``c1``, ``c2``."""
+    as the six int64 columns ``u``, ``v``, ``kind``, ``c0``, ``c1``, ``c2``.
+    It is the read-only sequence of those records, equal to any sequence of
+    the same (edge, colour) pairs."""
 
     def __init__(self, header: StreamHeader, records: Iterable[tuple[Edge, ColourId]] = ()):
         self.header = header
         self.columns = tuple(array("q") for _ in range(6))
         self.u, self.v, self.kind, self.c0, self.c1, self.c2 = self.columns
-        self._view: list[tuple[Edge, ColourId]] = []
         self.extend(records)
 
     def extend(self, records: Iterable[tuple[Edge, ColourId]]) -> None:
@@ -230,75 +234,50 @@ class Transcript:
                 except OverflowError:
                     pass  # the record-by-record check below names it
                 else:
-                    width, k = len(numbers) // len(records), len(records)
-                    zeros = array("q", [0]) * k
-                    self.u.extend(block[0::width])
-                    self.v.extend(block[1::width])
-                    self.kind.extend(array("q", [kind]) * k)
-                    for j, column in enumerate((self.c0, self.c1, self.c2), start=2):
-                        column.extend(block[j::width] if j < width else zeros)
+                    width = 2 + _ARITY[kind]
+                    u, v, *fields = (block[j::width] for j in range(width))
+                    self._append(u, v, kind, *fields)
                     return
         for record in records:
             _check_held(record)
-        for (u, v), colour in records:
-            kind = _KIND_OF[type(colour)]
-            row = (u, v, kind, *colour, 0, 0)  # zero fields; zip stops at six
-            for column, value in zip(self.columns, row):
-                column.append(value)
+        if records:
+            rows = ((u, v, _KIND_OF[type(colour)], *colour, 0, 0)[:6] for (u, v), colour in records)
+            self._append(*(array("q", column) for column in zip(*rows)))
+
+    def _append(self, u, v, kind, c0, c1=0, c2=0) -> None:
+        """Append rows to the six columns, one per entry of ``u``.  Each
+        argument is an int64 ``array('q')``, a contiguous int64 numpy
+        column, or one int that every row takes."""
+        given = [array("q", [x]) * len(u) if type(x) is int else x for x in (u, v, kind, c0, c1, c2)]
+        for column, values in zip(self.columns, given):
+            column.frombytes(memoryview(values).cast("B"))
 
     def __len__(self) -> int:
         return len(self.u)
 
-    @property
-    def records(self) -> Sequence[tuple[Edge, ColourId]]:
-        return _Records(self)
+    def __getitem__(self, index):
+        fields = (column[index] for column in self.columns)
+        return list(map(_record, *fields)) if isinstance(index, slice) else _record(*fields)
 
-    def _built(self) -> list[tuple[Edge, ColourId]]:
-        """The records as NamedTuples, built from the columns on first use
-        and extended as the columns grow (they only ever grow)."""
-        view = self._view
-        start = len(view)
-        if start < len(self.u):
-            rows = zip(*(column[start:] for column in self.columns))
-            view += [
-                (Edge(u, v), _COLOURS[kind](*(c0, c1, c2)[: _ARITY[kind]]))
-                for u, v, kind, c0, c1, c2 in rows
-            ]
-        return view
+    def __iter__(self) -> Iterator[tuple[Edge, ColourId]]:
+        return map(_record, *self.columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    @property
+    def records(self) -> Transcript:
+        return self
 
     def distinct_colours(self) -> int:
         from .batch import distinct_colours  # numpy loads on first use
 
         return distinct_colours(self)
-
-
-class _Records(Sequence):
-    """Read-only view of a transcript's records; equal to any sequence of
-    the same (edge, colour) pairs."""
-
-    __slots__ = ("_transcript",)
-
-    def __init__(self, transcript: Transcript):
-        self._transcript = transcript
-
-    def __len__(self) -> int:
-        return len(self._transcript)
-
-    def __getitem__(self, index):
-        return self._transcript._built()[index]
-
-    def __iter__(self):
-        return iter(self._transcript._built())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._transcript._built() == list(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(self._transcript._built())
 
 
 class SpaceMeter:
@@ -419,7 +398,8 @@ def run_stream(colorer: StreamColorer, edges: Iterable[Edge], header: StreamHead
 # Edge list:   header line `n <n> [m <m>] [seed <seed>]`, then `u v` per line,
 #              stream order = line order; 0 <= u, v < n and u != v.
 # Transcript:  same header line, then `u v <colour>` per line with the same
-#              endpoint rules and colour rendered by format_colour.
+#              endpoint rules; a colour is its kind's letter and its fields,
+#              each after a colon (`c:2:7`, `t:1:0:3`, `o:9`).
 #
 # Lines end at `\n` only, tokens are split at ASCII whitespace, and a line
 # must be UTF-8.  The readers take the body in blocks of whole lines.  A
@@ -547,7 +527,9 @@ def read_edge_list(path: str | Path) -> tuple[StreamHeader, list[Edge]]:
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> None:
-    lines = tuple(f"{{}} {{}} {form}\n".format for form in _COLOUR_FORMATS)
+    # "{} {} c:{}:{}\n" and so on, one per kind; format ignores unused fields
+    lines = tuple(f"{{}} {{}} {letter}{':{}' * arity}\n".format
+                  for (_, letter, _), arity in zip(_KINDS, _ARITY))
     with open(path, "w") as fh:
         fh.write(_format_header(transcript.header) + "\n")
         for u, v, kind, c0, c1, c2 in zip(*transcript.columns):

@@ -7,6 +7,9 @@ reproducibility comparison.
 
 from __future__ import annotations
 
+import csv
+import io
+import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -148,7 +151,8 @@ def run_single(spec: ExperimentSpec, seed: int) -> tuple[dict, Transcript | None
         save = None
         if spec.out_dir is not None:
             spec.out_dir.mkdir(parents=True, exist_ok=True)
-            name = f"{spec.algo}_{row['family']}_{row['order']}_{seed}.transcript"
+            family = row["family"].replace(os.sep, "_").replace("/", "_")  # a file family's path
+            name = f"{spec.algo}_{family}_{row['order']}_{seed}.transcript"
             save = partial(write_transcript, spec.out_dir / name)
         transcript, _ = colour_pass(row, colorer, param, header, edges, start, save)
         return row, transcript
@@ -172,7 +176,10 @@ def _label(x) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [f"# {CSV_VERSION}", ",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row.get(col, "")) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """The version line, the header and one line per row; a field holding a
+    comma, a quote or a line break is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([str(row.get(col, "")) for col in CSV_COLUMNS] for row in rows)
+    return f"# {CSV_VERSION}\n" + text.getvalue()

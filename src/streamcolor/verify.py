@@ -15,12 +15,16 @@ reference the numpy path is tested against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
+    _KIND_OF,
+    _KINDS,
     ChunkColour,
     ColourId,
     Edge,
+    OverflowColour,
     Transcript,
     TripleColour,
     ValidationError,
@@ -54,11 +58,10 @@ class VerificationReport:
 
 
 def _palette_key(colour: ColourId) -> PaletteKey:
-    if isinstance(colour, ChunkColour):
-        return ("chunk", colour.chunk)
-    if isinstance(colour, TripleColour):
-        return ("triple", colour.index)
-    return ("overflow",)
+    """The colour's palette: its kind's label, and its first field unless
+    it is an overflow colour, whose palette is one for all."""
+    _, _, label = _KINDS[_KIND_OF[type(colour)]]
+    return (label,) if type(colour) is OverflowColour else (label, colour[0])
 
 
 def verify(transcript: Transcript) -> VerificationReport:
@@ -79,42 +82,28 @@ def _verify_scalar(transcript: Transcript) -> VerificationReport:
     at_vertex: dict[int, dict[ColourId, list[Edge]]] = {}
     degree: dict[int, int] = {}
     colours: set[ColourId] = set()
-    overflow_serials: set[int] = set()
     palettes: dict[PaletteKey, PaletteStats] = {}
     palette_degrees: dict[PaletteKey, dict[int, int]] = {}
-    edge_seen: dict[Edge, int] = {}
-    duplicates = 0
+    distinct_edges: set[Edge] = set()
 
-    for edge, colour in transcript.records:
+    for edge, colour in transcript:
         e = canonicalize(edge)
-        edge_seen[e] = edge_seen.get(e, 0) + 1
-        if edge_seen[e] > 1:
-            duplicates += 1
+        distinct_edges.add(e)
         colours.add(colour)
         key = _palette_key(colour)
-        stats = palettes.get(key)
-        if stats is None:
-            stats = palettes[key] = PaletteStats()
-            palette_degrees[key] = {}
+        stats = palettes.setdefault(key, PaletteStats())
+        pdeg = palette_degrees.setdefault(key, {})
         stats.edge_count += 1
-        pdeg = palette_degrees[key]
         for x in e:
             pdeg[x] = pdeg.get(x, 0) + 1
-            if pdeg[x] > stats.max_degree:
-                stats.max_degree = pdeg[x]
+            stats.max_degree = max(stats.max_degree, pdeg[x])
             degree[x] = degree.get(x, 0) + 1
             at_vertex.setdefault(x, {}).setdefault(colour, []).append(e)
         if isinstance(colour, ChunkColour):
-            if colour.local > stats.max_local:
-                stats.max_local = colour.local
-        elif isinstance(colour, TripleColour):
-            # the counter increments past the announced value
-            if colour.left + 1 > stats.max_left:
-                stats.max_left = colour.left + 1
-            if colour.right + 1 > stats.max_right:
-                stats.max_right = colour.right + 1
-        else:
-            overflow_serials.add(colour.serial)
+            stats.max_local = max(stats.max_local, colour.local)
+        elif isinstance(colour, TripleColour):  # the counters increment past the announced value
+            stats.max_left = max(stats.max_left, colour.left + 1)
+            stats.max_right = max(stats.max_right, colour.right + 1)
 
     conflicts: list[tuple[Edge, Edge, int, ColourId]] = []
     for vertex in sorted(at_vertex):
@@ -124,17 +113,18 @@ def _verify_scalar(transcript: Transcript) -> VerificationReport:
                     for b in range(a + 1, len(edges)):
                         conflicts.append((edges[a], edges[b], vertex, colour))
 
+    per_kind = Counter(map(type, colours))
     return VerificationReport(
         proper=not conflicts,
         conflicts=conflicts,
         distinct_colours=len(colours),
-        overflow_colours=len(overflow_serials),
+        overflow_colours=per_kind[OverflowColour],
         max_degree=max(degree.values(), default=0),
         per_palette_stats=palettes,
-        distinct_triple_colours=sum(1 for c in colours if isinstance(c, TripleColour)),
-        distinct_chunk_colours=sum(1 for c in colours if isinstance(c, ChunkColour)),
-        duplicate_edges=duplicates,
-        records=len(transcript.records),
+        distinct_triple_colours=per_kind[TripleColour],
+        distinct_chunk_colours=per_kind[ChunkColour],
+        duplicate_edges=len(transcript) - len(distinct_edges),
+        records=len(transcript),
     )
 
 

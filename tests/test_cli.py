@@ -1,3 +1,4 @@
+import csv
 import io
 import tempfile
 from collections import Counter
@@ -20,7 +21,7 @@ from streamcolor import (
 )
 from streamcolor.cli import main
 from streamcolor.core import read_edge_list, read_transcript, write_edge_list
-from streamcolor.harness import CSV_COLUMNS, rows_to_csv
+from streamcolor.harness import CSV_COLUMNS, CSV_VERSION, rows_to_csv
 
 
 @pytest.fixture()
@@ -198,6 +199,33 @@ def test_run_and_sweep_agree_on_a_repeated_edge(out_env, capsys, algo, flags):
             del row[col]
     assert run_row == sweep_row
     assert (run_row["m"], run_row["proper"], run_row["error"]) == ("4", "1", "")
+
+
+def test_sweep_quotes_an_error_holding_a_comma(out_env, capsys):
+    (out_env / "bad.el").write_text("n 5\n0 1\n0 9\n")
+    argv = ["sweep", "--family", f"file:{out_env / 'bad.el'}", "--algo", "chunk", "--seeds", "0"]
+    assert main(argv) == 1
+    assert main([*argv, "--csv", "rows.csv"]) == main([*argv, "--csv", "rows.csv"]) == 1
+    for text in (capsys.readouterr().out, (out_env / "rows.csv").read_text()):
+        version, body = text.split("\n", 1)
+        assert version == f"# {CSV_VERSION}"
+        header, *rows = csv.reader(io.StringIO(body))
+        assert header == CSV_COLUMNS and rows
+        for row in rows:
+            assert len(row) == len(CSV_COLUMNS)
+            assert row[CSV_COLUMNS.index("error")] == (
+                "TranscriptParseError: line 3: edge (0,9) out of range for n=5"
+            )
+
+
+def test_sweep_saves_a_transcript_of_a_file_in_a_subdirectory(out_env, capsys):
+    graph = out_env / "graphs" / "g.el"
+    graph.parent.mkdir()
+    assert main(["generate", "--family", "complete:8", "-o", str(graph)]) == 0
+    assert main(["sweep", "--family", f"file:{graph}", "--algo", "chunk", "--seeds", "0",
+                 "--transcripts", str(out_env / "saved")]) == 0
+    [saved] = (out_env / "saved").iterdir()
+    assert main(["verify", str(saved), str(graph)]) == 0
 
 
 def test_worst_case_out_of_vertices_exits_two(out_env, capsys):

@@ -4,6 +4,7 @@ feed loop."""
 
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,14 +37,20 @@ def test_contract(make):
         with pytest.raises(ValidationError, match=f"vertex count must be >= 1, got {n}"):
             make(n)
     colorer = make(4)
+    charged = (colorer.meter.current_words, colorer.meter.peak_words)
     for edge, message in [
         (Edge(0, 4), "edge (0,4) out of range for n=4"),
         (Edge(-1, 2), "edge (-1,2) out of range for n=4"),
         (Edge(2, 2), "self-loop (2,2) is not a valid edge"),
+        *[(edge, f"edge {edge!r} has an endpoint that is not an int")
+          for edge in (Edge(1.0, 0), Edge(True, 0), Edge(np.int64(1), 2), Edge(3, np.int32(0)))],
     ]:
         with pytest.raises(ValidationError) as err:
             colorer.feed(edge)
         assert str(err.value) == message
+    # nothing buffered or charged: finish announces only the good edge
+    assert (colorer.meter.current_words, colorer.meter.peak_words) == charged
+    assert colorer.peak_buffered_edges == 0
     announced = colorer.feed(Edge(3, 1)) + colorer.finish()
     assert [edge for edge, _ in announced] == [Edge(1, 3)]
     for fed in (lambda: colorer.feed(Edge(0, 1)), lambda: colorer.feed_many([Edge(0, 1)])):

@@ -1,3 +1,8 @@
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +19,6 @@ from streamcolor import (
     TripleColour,
     ValidationError,
     canonicalize,
-    format_colour,
     parse_colour,
     read_edge_list,
     read_transcript,
@@ -105,6 +109,17 @@ colour_strategy = st.one_of(
 )
 
 
+def written_colour(colour) -> str:
+    """The colour field ``write_transcript`` writes for ``colour``, after
+    checking that ``read_transcript`` reads it back as ``colour``."""
+    record = (Edge(0, 1), colour)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tr"
+        write_transcript(path, Transcript(StreamHeader(2), [record]))
+        assert repr(list(read_transcript(path))) == repr([record])
+        return path.read_text().splitlines()[1].split()[2]
+
+
 class TestColourIds:
     def test_cross_variant_never_equal(self):
         assert ChunkColour(0, 0) != OverflowColour(0)
@@ -127,12 +142,12 @@ class TestColourIds:
 
     @given(colour_strategy)
     def test_format_parse_roundtrip(self, colour):
-        assert parse_colour(format_colour(colour)) == colour
+        assert parse_colour(written_colour(colour)) == colour
 
     def test_format_examples(self):
-        assert format_colour(ChunkColour(2, 7)) == "c:2:7"
-        assert format_colour(TripleColour(1, 0, 3)) == "t:1:0:3"
-        assert format_colour(OverflowColour(9)) == "o:9"
+        assert written_colour(ChunkColour(2, 7)) == "c:2:7"
+        assert written_colour(TripleColour(1, 0, 3)) == "t:1:0:3"
+        assert written_colour(OverflowColour(9)) == "o:9"
 
     def test_parse_rejects_garbage(self):
         # int() also reads an underscore, a non-ASCII digit and padding
@@ -153,6 +168,10 @@ wide_colours = st.one_of(
 )
 
 
+def builds(*_):
+    raise AssertionError("built a record")
+
+
 class TestTranscript:
     @given(
         records=st.lists(st.tuples(edge_strategy, wide_colours), max_size=30),
@@ -161,12 +180,57 @@ class TestTranscript:
     def test_records_round_trip_through_the_columns(self, records, cut):
         t = Transcript(StreamHeader(4), records[:cut])
         t.extend(records[cut:])
-        assert len(t) == len(t.records) == len(records)
-        assert t._view == []  # taking a length builds no records
+        with patch.object(Transcript, "__getitem__", builds), patch.object(Transcript, "__iter__", builds):
+            assert len(t) == len(t.records) == len(records)  # taking a length builds no records
         assert repr(list(t.records)) == repr(records)
         assert t.records == records
         assert repr(list(Transcript(StreamHeader(4), [*t.records]).records)) == repr(records)
         assert t.distinct_colours() == len({colour for _, colour in records})
+
+    @given(
+        records=st.lists(st.tuples(edge_strategy, wide_colours), max_size=30),
+        bounds=st.tuples(*[st.none() | st.integers(-35, 35)] * 2),
+        step=st.sampled_from([None, 1, 2, -1, -3]),
+    )
+    def test_is_the_sequence_of_its_records(self, records, bounds, step):
+        t = Transcript(StreamHeader(4), records)
+        k = len(records)
+        for i in range(-k, k):
+            assert repr(t[i]) == repr(records[i])
+        for i in (k, -k - 1):
+            with pytest.raises(IndexError):
+                t[i]
+        cut = slice(*bounds, step)
+        assert repr(t[cut]) == repr(records[cut])
+        assert repr(list(t)) == repr(records) and repr(t) == repr(records)
+        assert t == records and records == t and t == tuple(records)
+        assert t != records + [(Edge(0, 1), OverflowColour(0))]
+        assert t.records is t
+
+    @given(
+        records=st.lists(st.tuples(edge_strategy, wide_colours), max_size=30),
+        chunk=INT64,
+    )
+    def test_append_writes_the_columns_extend_writes(self, records, chunk):
+        header = StreamHeader(4)
+        t = Transcript(header, records)
+        for values in (t.columns, [np.frombuffer(column, dtype=np.int64) for column in t.columns]):
+            got = Transcript(header)
+            got._append(*values)
+            assert got.columns == t.columns
+        # one kind at a time, its code broadcast and the fields it lacks zero
+        for kind, cls in enumerate((ChunkColour, TripleColour, OverflowColour)):
+            rows = [(edge, colour) for edge, colour in records if type(colour) is cls]
+            want = Transcript(header, rows)
+            got = Transcript(header)
+            got._append(want.u, want.v, kind, *want.columns[3 : 3 + len(cls._fields)])
+            assert got.columns == want.columns
+        # a chunk index that every row takes
+        rows = [(edge, ChunkColour(chunk, colour[-1])) for edge, colour in records]
+        want = Transcript(header, rows)
+        got = Transcript(header)
+        got._append(want.u, want.v, 0, chunk, want.c1)
+        assert got.columns == want.columns
 
     def test_view_follows_the_columns(self):
         t = Transcript(StreamHeader(4), [(Edge(0, 1), ChunkColour(0, 0))])
