@@ -29,7 +29,6 @@ from .core import (
     TripleColour,
     ValidationError,
     WrongAlgorithmError,
-    canonicalize,
     parse_colour,
     read_edge_list,
     read_transcript,

@@ -37,7 +37,6 @@ from .core import (
     Transcript,
     TripleColour,
     ValidationError,
-    canonicalize,
 )
 
 
@@ -125,7 +124,7 @@ class _Driver:
         self.announced: list = []  # records not yet in the transcript
 
     def _feed(self, x: int, y: int) -> TripleColour:
-        edge = canonicalize(Edge(x, y))
+        edge = Edge(x, y) if x < y else Edge(y, x)  # distinct ids of the colourer
         if edge in self.emitted:
             raise AssertionError(f"adversary tried to repeat edge {edge}")
         if self.degree.get(x, 0) >= self.max_degree or self.degree.get(y, 0) >= self.max_degree:
@@ -210,6 +209,8 @@ def recommended_vertex_count(max_degree: int, s: int) -> int:
     enough that clean signature-class pairs are plentiful; from s = 24 on,
     twice what the counter repair draws on average.  At most 100,000 unless
     the grid itself needs more, so a wide grid at large s can run out."""
+    if s < 1:
+        raise ValidationError(f"signature width must be >= 1, got {s}")
     t = max(1, ceil(max_degree / (2 * s)))
     if s < 24:
         want = (1 << s) * 8 * t

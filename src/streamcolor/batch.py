@@ -4,9 +4,10 @@ edge check and the two file readers.
 
 Each kernel computes exactly what its scalar twin computes, on a
 transcript's int64 columns, and declines what it cannot hold:
-``feed_block`` stops before an edge whose index draw ``feed`` must redraw,
-``verify_columns`` returns None for a transcript that ``verify``'s
-record-by-record loop must decide, and ``edge_block`` and
+``feed_block`` takes the runs ``feed_many`` checked and oriented, and stops
+before an edge whose index draw ``feed`` must redraw; ``verify_columns``
+returns None for a transcript that ``verify``'s record-by-record loop must
+decide, such as one with an edge out of range; and ``edge_block`` and
 ``transcript_block`` decline a block of a file that the line parser must
 read.  This module is the only one that imports numpy at load time; its
 callers import it on first use, so ``import streamcolor`` and building a
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import _ARITY, _KINDS, Edge, Transcript, WrongAlgorithmError, canonicalize
+from .core import _ARITY, _KINDS, Edge, Transcript, WrongAlgorithmError, checked_edge
 from .verify import PaletteKey, PaletteStats, VerificationReport
 
 if TYPE_CHECKING:
@@ -57,18 +58,18 @@ def _signature_limbs(colorer: BipartiteColorer):
     return colorer._signature_limbs
 
 
-def feed_block(colorer: BipartiteColorer, block: list, start: int, stop: int, out: Transcript) -> int:
-    """Colour the checked edges ``block[start:stop]`` up to the first whose
-    index draw ``below`` would reject, append their announcements to
-    ``out``'s columns, and return the index of that edge (``stop`` if
-    none).  Reads and advances ``colorer``'s counters, index draws and
+def feed_block(colorer: BipartiteColorer, run: list, out: Transcript) -> int:
+    """Colour the checked edges of ``run``, each with its smaller endpoint
+    first, up to the first whose index draw ``below`` would reject, append
+    their announcements to ``out``'s columns, and return how many it
+    coloured.  Reads and advances ``colorer``'s counters, index draws and
     overflow serial exactly as ``BipartiteColorer.feed`` would on each
     edge."""
-    k = stop - start
-    uv = np.fromiter(chain.from_iterable(block[start:stop]), dtype=np.int64, count=2 * k)
-    uv = uv.reshape(k, 2)
+    k = len(run)
+    ends = np.fromiter(chain.from_iterable(run), dtype=np.int64, count=2 * k)
+    u, v = ends.reshape(k, 2).T.copy()  # two contiguous columns
     limbs = _signature_limbs(colorer)
-    diff = limbs[uv[:, 0]] ^ limbs[uv[:, 1]]
+    diff = limbs[u] ^ limbs[v]
     pop = np.bitwise_count(diff).astype(np.int64)
     total = pop.sum(axis=1)
     drawn = total > 0  # overflow edges draw no word
@@ -81,7 +82,7 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, stop: int, ou
     if len(rejected):
         count, words = count[: rejected[0]], words[: rejected[0]]
         k = int(np.flatnonzero(drawn)[rejected[0]])
-        uv, diff, pop, drawn = uv[:k], diff[:k], pop[:k], drawn[:k]
+        u, v, diff, pop, drawn = u[:k], v[:k], diff[:k], pop[:k], drawn[:k]
     diff, pop = diff[drawn], pop[drawn]
     draws = len(count)
 
@@ -99,9 +100,9 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, stop: int, ou
     index = 64 * limb + 8 * at + _BYTE_SELECT[byte[rows, at], rank]
 
     # left endpoint carries bit index = 0
-    u, v = uv[drawn, 0], uv[drawn, 1]
-    swap = (limbs[u, limb] >> (index % 64).astype(np.uint64)) & np.uint64(1) == 1
-    left, right = np.where(swap, v, u), np.where(swap, u, v)
+    du, dv = u[drawn], v[drawn]
+    swap = (limbs[du, limb] >> (index % 64).astype(np.uint64)) & np.uint64(1) == 1
+    left, right = np.where(swap, dv, du), np.where(swap, du, dv)
 
     # a counter's value is its stored count plus its earlier uses in the
     # interleaved key order left_0, right_0, left_1, right_1, ...
@@ -125,8 +126,8 @@ def feed_block(colorer: BipartiteColorer, block: list, start: int, stop: int, ou
     fields[0, ~drawn] = np.arange(serial, serial + k - draws)
     colorer._overflow_serial += k - draws
     kind = np.where(drawn, 1, 2).astype(np.int64)
-    out._append(uv.min(axis=1), uv.max(axis=1), kind, *fields)
-    return start + k
+    out._append(u, v, kind, *fields)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +159,14 @@ def _rank(*columns):
 
 def verify_columns(transcript: Transcript) -> VerificationReport | None:
     """``_verify_scalar``'s report computed on the transcript's columns, or
-    None when that loop must decide: an empty transcript, a self-loop, a
-    negative vertex, or a conflict."""
+    None when that loop must decide: an empty transcript, an edge that
+    ``checked_edge`` fails on the header's ``n``, or a conflict."""
     k = len(transcript)
     if not k:
         return None
     u, v, kind, *fields = _columns(transcript)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if lo.min() < 0 or (lo == hi).any():
+    if lo.min() < 0 or hi.max() >= transcript.header.n or (lo == hi).any():
         return None
 
     colour, colour_count = _rank(kind, *fields)
@@ -261,15 +262,16 @@ def chunk_degrees(transcript: Transcript) -> tuple[int, list]:
     """``chunk_concentration``'s counts on the columns: the number of chunks,
     and for each (chunk, vertex) pair an endpoint meets, in that sorted
     order, ``(degree in the chunk, degree, chunk size)``.  The first record
-    that is not chunk-coloured, or is a self-loop or has a negative vertex,
-    raises as in the record-by-record loop."""
+    that is not chunk-coloured, or whose edge ``checked_edge`` fails on the
+    header's ``n``, raises as in the record-by-record loop."""
     u, v, kind, chunk, _, _ = _columns(transcript)
-    bad = np.flatnonzero((kind != 0) | (np.minimum(u, v) < 0) | (u == v))
+    n = transcript.header.n
+    bad = np.flatnonzero((kind != 0) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | (u == v))
     if len(bad):
         row = bad[0]
         if kind[row] != 0:
             raise WrongAlgorithmError("transcript has non-chunk colours; chunk structure unavailable")
-        canonicalize(Edge(int(u[row]), int(v[row])))  # raises its ValidationError
+        checked_edge(Edge(int(u[row]), int(v[row])), n)  # raises its ValidationError
     if not len(kind):
         raise WrongAlgorithmError("empty transcript has no chunk structure")
 

@@ -11,10 +11,11 @@ If two signatures are identical there is no differing index; such edges get
 globally unique overflow colours instead of crashing.  At the default
 signature width (36 ln n bits) identical signatures essentially never occur.
 
-``feed`` colours one edge; ``feed_many`` hands each checked run of edges to
-``batch.feed_block``, which colours it with numpy into transcript columns
-and announces exactly what ``feed`` would.  ``feed`` stays the reference
-the batch path is tested against.  The counters are one int64 array of n*s
+``feed`` colours one edge; ``feed_many`` hands each run of checked edges,
+smaller endpoint first, to ``batch.feed_block``, which colours it with numpy
+into transcript columns and announces exactly what ``feed`` would, up to an
+edge whose index draw only ``feed`` makes.  ``feed`` stays the reference the
+batch path is tested against.  The counters are one int64 array of n*s
 words, the n*s the meter charges: ``feed`` indexes it, ``feed_block``
 gathers and scatters through a numpy view of it.
 """
@@ -113,10 +114,14 @@ class BipartiteColorer(StreamColorer):
         self._counters[kv] = cv + 1
         return [(edge, TripleColour(i, cu, cv))]
 
-    def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
+    def _take_run(self, run: list, out: Transcript) -> None:
         from .batch import feed_block  # numpy and the kernel load on first use
 
-        return feed_block(self, block, start, stop, out)
+        while run:
+            taken = feed_block(self, run, out)
+            if taken < len(run):  # below rejects this edge's draw: feed redraws
+                out.extend(self.feed(run[taken]))
+            run = run[taken + 1:]
 
     @property
     def overflow_count(self) -> int:

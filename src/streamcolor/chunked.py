@@ -7,10 +7,10 @@ only the colour count depends on the order being random: a random permutation
 spreads each vertex's degree evenly across chunks, so each chunk needs about
 max_degree / num_chunks + 1 colours.
 
-``feed_many`` hands each checked run of edges to ``_take_run``, which
-buffers it in plain Python, with no numpy; each flush appends its chunk's
-announcements straight to the columns of a transcript.  ``feed`` flushes
-through the same step and returns the records of its output.
+``feed_many`` hands each run of checked edges, smaller endpoint first, to
+``_take_run``, which buffers it in plain Python, with no numpy; each flush
+appends its chunk's announcements straight to the columns of a transcript.
+``feed`` flushes through the same step and returns the records of its output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 from .core import ColourId, Edge, StreamColorer, StreamHeader, Transcript, ValidationError
 from .offline import AdjacencyGraph, color_vizing, take_free_colour
@@ -74,22 +74,19 @@ class ChunkColorer(StreamColorer):
             self._flush(out)
         return list(out)
 
-    def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
-        """Buffer the checked edges ``block[start:stop]``, flushing each
-        chunk that fills to ``out``, with no numpy; the meter and
+    def _take_run(self, run: list, out: Transcript) -> None:
+        """Buffer the checked edges of ``run``, flushing each chunk that
+        fills to ``out``, with no numpy; the meter and
         ``peak_buffered_edges`` see each fill in one step."""
         buffer, capacity = self._buffer, self.config.capacity
-        taken = 0
-        for edge in islice(block, start, stop):
-            u, v = edge
-            buffer.append(edge if u < v else Edge(v, u))
-            taken += 1
+        start = 0
+        while start < len(run):
+            piece = run[start:start + capacity - len(buffer)]
+            buffer += piece
+            start += len(piece)
+            self._charge(len(piece))
             if len(buffer) == capacity:
-                self._charge(taken)
-                taken = 0
                 self._flush(out)
-        self._charge(taken)
-        return stop
 
     def _flush(self, out: Transcript) -> None:
         """Colour the buffered chunk and append its announcements, in
@@ -104,7 +101,7 @@ class ChunkColorer(StreamColorer):
         # per edge of the support graph
         workspace = 3 * len(support)
         self.meter.charge(workspace)
-        # feed checked and canonicalised each edge, and the support repeats none
+        # every edge is checked and oriented, and the support repeats none
         local = color_vizing(AdjacencyGraph(self.n, support))
 
         if len(support) != len(chunk):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -68,19 +68,6 @@ class Edge(NamedTuple):
     v: int
 
 
-def canonicalize(edge: Edge) -> Edge:
-    """Return ``edge`` with the smaller endpoint first.  Idempotent.
-
-    Self-loops are rejected: no colouring of a loop can be proper.
-    """
-    u, v = edge
-    if u == v:
-        raise ValidationError(f"self-loop ({u},{v}) is not a valid edge")
-    if u < 0 or v < 0:
-        raise ValidationError(f"negative vertex id in ({u},{v})")
-    return Edge(u, v) if u < v else Edge(v, u)
-
-
 def checked_edge(edge: Edge, n: int) -> Edge:
     """The one edge rule, applied once where an edge enters: both endpoints
     in 0..n-1 and distinct.  Returns the edge with the smaller endpoint first."""
@@ -94,22 +81,7 @@ def checked_edge(edge: Edge, n: int) -> Edge:
     return edge if u < v else Edge(v, u)
 
 
-_BLOCK = 8192  # edges feed_many reads at a time; bounds a run hook's temporaries
-
-
-def _run_end(block: list, start: int, n: int) -> int:
-    """The end of the longest run from ``block[start]`` that a colourer may
-    take without ``feed``: ``Edge``s of two plain ints that ``checked_edge``
-    passes on ``n`` vertices."""
-    stop = start
-    for edge in islice(block, start, None):
-        if type(edge) is not Edge:
-            break
-        u, v = edge
-        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
-            break
-        stop += 1
-    return stop
+_BLOCK = 8192  # most edges feed_many hands a run hook at once; bounds its temporaries
 
 
 # The three variants have distinct arities, so tuple equality can never hold
@@ -318,11 +290,11 @@ class StreamColorer:
     triggers, possibly none; ``finish()`` ends the stream and returns the
     rest.  This class makes the contract's checks: ``n`` at construction,
     each fed edge through :func:`checked_edge`, no ``feed`` after ``finish``
-    and no second ``finish``.  ``feed_many`` feeds a whole stream as the
-    ``feed`` loop would.  A subclass charges its state to ``meter`` and
+    and no second ``finish``.  ``feed_many`` is the ``feed`` loop over a
+    whole stream, read once.  A subclass charges its state to ``meter`` and
     writes ``_take(edge)``, which gets the checked edge with its smaller
     endpoint first; it may write ``_drain()`` for what ``finish`` announces
-    and ``_take_run`` to colour a checked run of edges at once.
+    and ``_take_run(run, out)`` to colour a run of such edges at once.
     """
 
     peak_buffered_edges = 0  # most edges held unannounced at one time
@@ -349,32 +321,35 @@ class StreamColorer:
         """Feed ``edges`` in order and return their announcements as a
         transcript on ``n`` vertices; it, the colourer's state and any error
         are those of extending a transcript by ``feed(edge)`` for each edge.
-        Each run that ``_run_end`` passes goes to ``_take_run`` instead."""
+        The input is read once; runs of edges that pass ``checked_edge``'s
+        rule go to ``_take_run``, smaller endpoint first, and others to ``feed``."""
         out = Transcript(StreamHeader(self.n))
-        stream, full = iter(edges), True
-        while full:
-            block: list = []
-            try:
-                block += islice(stream, _BLOCK)
-                full = len(block) == _BLOCK
-            finally:  # if the input raises, the edges read before it are fed first
-                start = 0
-                while start < len(block):
-                    stop = start if self.finished else _run_end(block, start, self.n)
-                    if stop > start:
-                        start = self._take_run(block, start, stop, out)
-                    if start < len(block):  # feed takes the edge after a run
-                        out.extend(self.feed(block[start]))
-                        start += 1
+        # after finish no edge joins a run: the first goes to feed, which raises
+        n, run = 0 if self.finished else self.n, []
+        try:
+            for edge in edges:
+                if type(edge) is Edge:
+                    u, v = edge
+                    if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v:
+                        run.append(edge if u < v else Edge(v, u))
+                        if len(run) == _BLOCK:
+                            run, full = [], run  # reset first: no run is handed over twice
+                            self._take_run(full, out)
+                        continue
+                if run:
+                    run, full = [], run
+                    self._take_run(full, out)
+                out.extend(self.feed(edge))
+        finally:  # if the input raises, the edges read before it are taken first
+            if run:
+                self._take_run(run, out)
         return out
 
-    def _take_run(self, block: list, start: int, stop: int, out: Transcript) -> int:
-        """Append to ``out`` the announcements of the run ``block[start:stop]``
-        and return the index of the first edge it did not take."""
-        for edge in islice(block, start, stop):
-            u, v = edge
-            out.extend(self._take(edge if u < v else Edge(v, u)))
-        return stop
+    def _take_run(self, run: list, out: Transcript) -> None:
+        """Append to ``out`` the announcements of ``run``: edges that
+        ``checked_edge`` passed, each with its smaller endpoint first."""
+        for edge in run:
+            out.extend(self._take(edge))
 
     def _take(self, edge: Edge) -> list[tuple[Edge, ColourId]]:
         raise NotImplementedError

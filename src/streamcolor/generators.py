@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
-from .core import Edge, StreamHeader, ValidationError, canonicalize, read_edge_list
+from .core import Edge, StreamHeader, ValidationError, read_edge_list
 from .rng import mix64
 
 
@@ -113,11 +113,10 @@ def _gnp_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
     log_q = math.log1p(-p)
     idx = -1
     while True:
-        u = rng.random()
-        skip = int(math.log(1.0 - u) / log_q) if u > 0.0 else 0
-        idx += skip + 1
-        if idx >= total:
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= total - 1 - idx:  # past the last pair; an infinite gap too
             return edges
+        idx += int(gap) + 1
         edges.append(_pair_from_index(idx, n))
 
 
@@ -182,7 +181,7 @@ def _apply_order(edges: list[Edge], order: ArrivalOrder, seed: int) -> list[Edge
         random.Random(shuffle_seed).shuffle(out)
         return out
     if isinstance(order, AdversarialSorted):
-        return sorted(canonicalize(e) for e in edges)
+        return sorted(Edge(u, v) if u < v else Edge(v, u) for u, v in edges)
     raise ValidationError(f"unknown arrival order {order!r}")
 
 

@@ -9,8 +9,10 @@ consume.
 ``verify``, ``chunk_concentration`` and ``check_bipartition`` compute on the
 transcript's int64 columns with numpy.  The record-by-record loop ``verify``
 replaces stays as ``_verify_scalar``, which decides every transcript the
-columns cannot (conflicts, self-loops, negative vertices) and is the
-reference the numpy path is tested against.
+columns cannot (conflicts, edges out of range) and is the reference the
+numpy path is tested against.  ``verify`` and ``chunk_concentration`` apply
+``checked_edge`` on the header's ``n`` as ``read_transcript`` does, so a
+transcript and its file get one verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     Transcript,
     TripleColour,
     ValidationError,
-    canonicalize,
+    checked_edge,
 )
 
 PaletteKey = tuple  # ("chunk", index) | ("triple", index) | ("overflow",)
@@ -87,7 +89,7 @@ def _verify_scalar(transcript: Transcript) -> VerificationReport:
     distinct_edges: set[Edge] = set()
 
     for edge, colour in transcript:
-        e = canonicalize(edge)
+        e = checked_edge(edge, transcript.header.n)
         distinct_edges.add(e)
         colours.add(colour)
         key = _palette_key(colour)

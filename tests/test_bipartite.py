@@ -224,11 +224,9 @@ class TestStreamInvariants:
         assert sorted(len(cs) for cs in colour_sets)
 
     def test_transcript_multiset_preserved(self):
-        from streamcolor import canonicalize
-
         _, transcript, edges = run_gnp(40, 0.2, 6, 2)
         assert sorted(e for e, _ in transcript.records) == sorted(
-            canonicalize(e) for e in edges
+            Edge(*sorted(e)) for e in edges
         )
 
 

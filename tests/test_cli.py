@@ -178,6 +178,22 @@ def test_sweep_rejects_ungeneratable_family_before_any_run(out_env, capsys, fami
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_worst_case_width_below_one_exits_two(out_env, capsys, s):
+    # the default vertex count is sized from s, so s is checked before it
+    assert main(["worst-case", "--delta", "8", "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: signature width must be >= 1, got {s}\n"
+    assert captured.out == ""
+
+
+def test_generate_gnp_with_a_subnormal_probability(out_env, capsys):
+    # the first geometric gap is infinite: the stream holds no edge
+    assert main(["generate", "--family", "gnp:10:5e-324", "-o", "g.el"]) == 0
+    header, edges = read_edge_list(out_env / "g.el")
+    assert (header.n, edges) == (10, [])
+
+
 @pytest.mark.parametrize(
     "algo, flags", [("chunk", ["--alpha", "1"]), ("bipartite", ["--s", "8"])],
     ids=["chunk", "bipartite"],

@@ -18,40 +18,54 @@ from streamcolor import (
     TranscriptParseError,
     TripleColour,
     ValidationError,
-    canonicalize,
     parse_colour,
     read_edge_list,
     read_transcript,
     write_edge_list,
     write_transcript,
 )
+from streamcolor.core import checked_edge
 
 
 class TestCanonicalize:
+    """``checked_edge``, the one edge rule: it returns the canonical edge,
+    smaller endpoint first, or names what is wrong with it."""
+
     def test_orders_endpoints(self):
-        assert canonicalize(Edge(5, 2)) == Edge(2, 5)
+        assert checked_edge(Edge(5, 2), 6) == Edge(2, 5)
 
     def test_idempotent_on_canonical(self):
-        assert canonicalize(Edge(2, 5)) == Edge(2, 5)
+        assert checked_edge(Edge(2, 5), 6) == Edge(2, 5)
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValidationError):
-            canonicalize(Edge(3, 3))
+        with pytest.raises(ValidationError, match=r"^self-loop \(3,3\) is not a valid edge$"):
+            checked_edge(Edge(3, 3), 4)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            canonicalize(Edge(-1, 2))
+        with pytest.raises(ValidationError, match=r"^edge \(-1,2\) out of range for n=4$"):
+            checked_edge(Edge(-1, 2), 4)
+
+    def test_rejects_id_at_least_n(self):
+        with pytest.raises(ValidationError, match=r"^edge \(0,5\) out of range for n=3$"):
+            checked_edge(Edge(0, 5), 3)
+
+    def test_rejects_non_int(self):
+        with pytest.raises(
+            ValidationError, match=r"^edge Edge\(u=1, v=2.0\) has an endpoint that is not an int$"
+        ):
+            checked_edge(Edge(1, 2.0), 4)
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
     def test_idempotent_and_sorted(self, u, v):
+        n = 10**6 + 1
         if u == v:
             with pytest.raises(ValidationError):
-                canonicalize(Edge(u, v))
+                checked_edge(Edge(u, v), n)
             return
-        e = canonicalize(Edge(u, v))
+        e = checked_edge(Edge(u, v), n)
         assert e.u < e.v
-        assert canonicalize(e) == e
-        assert canonicalize(Edge(v, u)) == e
+        assert checked_edge(e, n) == e
+        assert checked_edge(Edge(v, u), n) == e
 
 
 class TestSpaceMeter:

@@ -16,14 +16,14 @@ from streamcolor import (
     UniformRandomPermutation,
     ValidationError,
     WrongAlgorithmError,
-    canonicalize,
     chunk_concentration,
     colour_budget,
     generate,
     run_stream,
     verify,
 )
-from streamcolor.verify import ConcentrationSummary
+from streamcolor.core import checked_edge
+from streamcolor.verify import ConcentrationSummary, _verify_scalar
 
 
 def transcript_of(records, n=10):
@@ -138,6 +138,33 @@ class TestChunkConcentration:
             chunk_concentration(transcript_of([]))
 
 
+class TestEdgeRule:
+    # a record out of range for the header's n: read_transcript rejects the
+    # same records written to a file, so verify and chunk_concentration do too
+    OUT_OF_RANGE = r"^edge \(0,5\) out of range for n=3$"
+
+    def test_out_of_range_alone(self):
+        t = Transcript(StreamHeader(3), [(Edge(0, 5), ChunkColour(0, 0))])
+        for check in (verify, chunk_concentration):
+            with pytest.raises(ValidationError, match=self.OUT_OF_RANGE):
+                check(t)
+
+    def test_out_of_range_with_a_conflict(self):
+        t = Transcript(
+            StreamHeader(3),
+            [(Edge(0, 1), A), (Edge(1, 2), A), (Edge(0, 5), ChunkColour(0, 0))],
+        )
+        for check in (verify, _verify_scalar, chunk_concentration):
+            with pytest.raises(ValidationError, match=self.OUT_OF_RANGE):
+                check(t)
+
+    def test_negative_id(self):
+        t = Transcript(StreamHeader(4), [(Edge(-1, 2), A)])
+        for check in (verify, chunk_concentration):
+            with pytest.raises(ValidationError, match=r"^edge \(-1,2\) out of range for n=4$"):
+                check(t)
+
+
 def concentration_loop(transcript):
     """chunk_concentration record by record: the oracle of the column path."""
     chunk_degree: dict[tuple[int, int], int] = {}
@@ -149,7 +176,7 @@ def concentration_loop(transcript):
                 "transcript has non-chunk colours; chunk structure unavailable"
             )
         chunk_size[colour.chunk] = chunk_size.get(colour.chunk, 0) + 1
-        for x in canonicalize(edge):
+        for x in checked_edge(edge, transcript.header.n):
             full_degree[x] = full_degree.get(x, 0) + 1
             chunk_degree[(colour.chunk, x)] = chunk_degree.get((colour.chunk, x), 0) + 1
     if not chunk_size:
