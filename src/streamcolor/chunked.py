@@ -93,12 +93,18 @@ class ChunkColorer(StreamColorer):
         arrival order, to ``out``'s columns."""
         chunk = self._buffer
         # duplicates within a chunk would make the induced subgraph a
-        # multigraph; colour the simple support, then give repeat occurrences
-        # greedy colours from the top of the same palette
+        # multigraph; colour the simple support, then give each repeat
+        # occurrence the smallest colour free at both its ends
+        # (take_free_colour), under the same chunk index
         support = list(dict.fromkeys(chunk))
 
         # transient workspace: adjacency (2 words/edge) plus one colour word
-        # per edge of the support graph
+        # per edge of the support graph.  color_vizing's free-colour bitmasks,
+        # about n * ceil(K/64) words for K = chunk max degree + 1, are not
+        # charged (nor were the free sets of up to n * K ints before them):
+        # each mask is the complement of the colours at its vertex, an index
+        # over the charged words, and leaving it out keeps peak_words and
+        # every CSV row as they were
         workspace = 3 * len(support)
         self.meter.charge(workspace)
         # every edge is checked and oriented, and the support repeats none

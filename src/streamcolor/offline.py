@@ -97,26 +97,30 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
     4. find a fan prefix, still valid under the post-inversion colours, whose
        last vertex w has d free; shift each prefix edge's colour to its fan
        predecessor and colour (u, w) with d.
+
+    Each vertex's free colours are one int bitmask (bit c set when colour c
+    is free), so "smallest free colour" is the lowest set bit.
     """
     K = g.max_degree + 1
     # at[x][c] = neighbour across the c-coloured edge at x
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    free: list[set[int]] = [set(range(K)) for _ in range(g.n)]
-    colour_of: dict[tuple[int, int], int] = {}  # keyed by (smaller, larger) endpoint
+    free: list[int] = [(1 << K) - 1] * g.n
+    # keyed by (smaller, larger) endpoint; it holds every edge, in stored
+    # order, from the start, so it is the result once the last edge is coloured
+    colour_of: dict[tuple[int, int], int] = dict.fromkeys(g.edges)
 
     def assign(x: int, y: int, c: int) -> None:
         at[x][c] = y
         at[y][c] = x
-        free[x].discard(c)
-        free[y].discard(c)
+        free[x] &= ~(1 << c)
+        free[y] &= ~(1 << c)
         colour_of[(x, y) if x < y else (y, x)] = c
 
     def unassign(x: int, y: int, c: int) -> None:
         del at[x][c]
         del at[y][c]
-        free[x].add(c)
-        free[y].add(c)
-        del colour_of[(x, y) if x < y else (y, x)]
+        free[x] |= 1 << c
+        free[y] |= 1 << c
 
     def invert_path(u: int, c: int, d: int) -> None:
         # c is free at u, so the c/d component containing u is a path with u
@@ -134,30 +138,43 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
 
     for edge in g.edges:
         u, v = edge
-        both = free[u] & free[v]
+        free_u, free_v = free[u], free[v]
+        both = free_u & free_v
         if both:
-            assign(u, v, min(both))
+            low = both & -both
+            c = low.bit_length() - 1
+            at[u][c] = v
+            at[v][c] = u
+            free[u] = free_u ^ low
+            free[v] = free_v ^ low
+            colour_of[edge] = c
             continue
 
-        # maximal fan of u starting at v
+        # maximal fan of u starting at v: each step takes the smallest colour
+        # free at the last fan vertex whose u-edge leads outside the fan
+        at_u = at[u]
         fan = [v]
         in_fan = {v}
         while True:
-            last = fan[-1]
             ext = None
-            for c in sorted(free[last]):
-                w = at[u].get(c)
-                if w is not None and w not in in_fan:
+            # colours free at the last fan vertex and used at u, lowest first
+            rest = free[fan[-1]] & ~free_u
+            while rest:
+                low = rest & -rest
+                w = at_u[low.bit_length() - 1]
+                if w not in in_fan:
                     ext = w
                     break
+                rest ^= low
             if ext is None:
                 break
             fan.append(ext)
             in_fan.add(ext)
 
-        c = min(free[u])
-        d = min(free[fan[-1]])
-        if d not in free[u]:
+        c = (free_u & -free_u).bit_length() - 1
+        free_last = free[fan[-1]]
+        d = (free_last & -free_last).bit_length() - 1
+        if not free_u >> d & 1:
             invert_path(u, c, d)
 
         # smallest w whose fan prefix survived the inversion and has d free
@@ -165,9 +182,9 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
         for j, fj in enumerate(fan):
             if j > 0:
                 prev_edge_colour = colour_of[(u, fj) if u < fj else (fj, u)]
-                if prev_edge_colour not in free[fan[j - 1]]:
+                if not free[fan[j - 1]] >> prev_edge_colour & 1:
                     break
-            if d in free[fj]:
+            if free[fj] >> d & 1:
                 w_idx = j
                 break
         if w_idx is None:
@@ -182,7 +199,7 @@ def color_vizing(g: AdjacencyGraph) -> dict[Edge, int]:
             assign(u, fan[q], shifted[q])
         assign(u, fan[w_idx], d)
 
-    return {edge: colour_of[edge] for edge in g.edges}
+    return colour_of
 
 
 _BRUTEFORCE_EDGE_LIMIT = 12
@@ -243,8 +260,9 @@ def colours_used(colouring: dict[Edge, int]) -> int:
 
 
 def is_proper(g: AdjacencyGraph, colouring: dict[Edge, int]) -> bool:
-    """Every edge coloured, and no vertex sees a colour twice."""
-    if len(colouring) != len(g.edges):
+    """Every edge of ``g`` coloured, nothing else coloured, and no vertex
+    sees a colour twice."""
+    if len(colouring) != len(g.edges) or colouring.keys() != set(g.edges):
         return False
     seen: list[set[int]] = [set() for _ in range(g.n)]
     for edge, c in colouring.items():

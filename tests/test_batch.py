@@ -401,7 +401,7 @@ def files(draw):
             tokens[j] = b"%d" % (n + draw(st.integers(0, 3)))
         elif change == "loop":
             tokens[1 - j] = tokens[j]
-        elif change == "colour" and colours:
+        elif change == "colour" and colours and len(tokens) > 2:
             tokens[2] = draw(st.sampled_from(ODD_COLOURS))
         elif change == "spaces":
             tokens[j] += draw(st.sampled_from([b" ", b"\t", b"\x0b"]))

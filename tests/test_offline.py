@@ -10,6 +10,7 @@ from streamcolor import (
     AdjacencyGraph,
     CompleteGraph,
     Edge,
+    GnpRandom,
     UniformRandomPermutation,
     ValidationError,
     chromatic_index_bruteforce,
@@ -33,6 +34,97 @@ PETERSEN = (
 
 def graph(n, edges):
     return AdjacencyGraph.from_edges(n, edges)
+
+
+def color_vizing_sets(g: AdjacencyGraph) -> dict[Edge, int]:
+    """The differential oracle: ``color_vizing``'s fan-and-path colouring,
+    tie-breaks and all, with each vertex's free colours kept as a Python
+    set instead of an int bitmask."""
+    K = g.max_degree + 1
+    # at[x][c] = neighbour across the c-coloured edge at x
+    at: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    free: list[set[int]] = [set(range(K)) for _ in range(g.n)]
+    colour_of: dict[tuple[int, int], int] = {}  # keyed by (smaller, larger) endpoint
+
+    def assign(x: int, y: int, c: int) -> None:
+        at[x][c] = y
+        at[y][c] = x
+        free[x].discard(c)
+        free[y].discard(c)
+        colour_of[(x, y) if x < y else (y, x)] = c
+
+    def unassign(x: int, y: int, c: int) -> None:
+        del at[x][c]
+        del at[y][c]
+        free[x].add(c)
+        free[y].add(c)
+        del colour_of[(x, y) if x < y else (y, x)]
+
+    def invert_path(u: int, c: int, d: int) -> None:
+        # c is free at u, so the c/d component containing u is a path with u
+        # at one end; walk it, then swap the two colours along it.
+        path = []
+        cur, col = u, d
+        while col in at[cur]:
+            nxt = at[cur][col]
+            path.append((cur, nxt, col))
+            cur, col = nxt, (c if col == d else d)
+        for x, y, col in path:
+            unassign(x, y, col)
+        for x, y, col in path:
+            assign(x, y, c if col == d else d)
+
+    for edge in g.edges:
+        u, v = edge
+        both = free[u] & free[v]
+        if both:
+            assign(u, v, min(both))
+            continue
+
+        # maximal fan of u starting at v
+        fan = [v]
+        in_fan = {v}
+        while True:
+            last = fan[-1]
+            ext = None
+            for c in sorted(free[last]):
+                w = at[u].get(c)
+                if w is not None and w not in in_fan:
+                    ext = w
+                    break
+            if ext is None:
+                break
+            fan.append(ext)
+            in_fan.add(ext)
+
+        c = min(free[u])
+        d = min(free[fan[-1]])
+        if d not in free[u]:
+            invert_path(u, c, d)
+
+        # smallest w whose fan prefix survived the inversion and has d free
+        w_idx = None
+        for j, fj in enumerate(fan):
+            if j > 0:
+                prev_edge_colour = colour_of[(u, fj) if u < fj else (fj, u)]
+                if prev_edge_colour not in free[fan[j - 1]]:
+                    break
+            if d in free[fj]:
+                w_idx = j
+                break
+        if w_idx is None:
+            raise AssertionError(
+                f"fan repair failed at edge {edge}; colouring invariant broken"
+            )
+
+        shifted = [colour_of[(u, w) if u < w else (w, u)] for w in fan[1 : w_idx + 1]]
+        for q in range(w_idx):
+            unassign(u, fan[q + 1], shifted[q])
+        for q in range(w_idx):
+            assign(u, fan[q], shifted[q])
+        assign(u, fan[w_idx], d)
+
+    return {edge: colour_of[edge] for edge in g.edges}
 
 
 class TestAdjacencyGraph:
@@ -72,6 +164,13 @@ class TestIsProper:
 
     def test_rejects_a_colour_twice_at_a_vertex(self):
         assert not is_proper(graph(3, PATH3), {Edge(0, 1): 0, Edge(1, 2): 0})
+
+    def test_rejects_a_colouring_of_the_right_size_with_a_non_edge(self):
+        # (1,2) is left uncoloured and (0,2) is not an edge of the graph
+        assert not is_proper(graph(3, PATH3), {Edge(0, 1): 0, Edge(0, 2): 1})
+
+    def test_accepts_a_proper_colouring_in_any_key_order(self):
+        assert is_proper(graph(3, PATH3), {Edge(1, 2): 1, Edge(0, 1): 0})
 
 
 class TestVizing:
@@ -150,6 +249,45 @@ class TestVizing:
         assert is_proper(g, col)
         assert colours_used(col) <= max(1, g.max_degree + 1)
         assert all(0 <= c <= g.max_degree for c in col.values())
+
+
+class TestVizingMatchesSetOracle:
+    """``color_vizing`` keeps free colours as int bitmasks; it must return
+    what the set-based oracle returns, entry for entry and in dict order."""
+
+    @staticmethod
+    def assert_same(g):
+        assert list(color_vizing(g).items()) == list(color_vizing_sets(g).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_simple_graphs_in_random_orders(self, data):
+        n = data.draw(st.integers(2, 14))
+        possible = list(itertools.combinations(range(n), 2))
+        # a unique list of sampled pairs comes in a drawn order
+        edges = data.draw(
+            st.lists(st.sampled_from(possible), unique=True, max_size=len(possible))
+        )
+        self.assert_same(graph(n, edges))
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(65, 90), seed=st.integers(0, 2**32 - 1))
+    def test_complete_graphs_whose_palette_spans_two_words(self, n, seed):
+        edges = list(itertools.combinations(range(n), 2))
+        random.Random(seed).shuffle(edges)
+        g = graph(n, edges)
+        assert g.max_degree + 1 > 64
+        self.assert_same(g)
+
+    def test_the_chunks_of_the_chunk_cli_input(self):
+        # G(2000, 0.05) in random order at seed 11, cut into chunks of
+        # alpha^2 * n edges at alpha = 4, as `run --algo chunk --alpha 4` cuts it
+        header, edges = generate(GnpRandom(2000, 0.05), UniformRandomPermutation(), 11)
+        capacity = 4 * 4 * header.n
+        chunks = [edges[i:i + capacity] for i in range(0, len(edges), capacity)]
+        assert len(chunks) == 4
+        for chunk in chunks:
+            self.assert_same(graph(header.n, chunk))
 
 
 class TestGreedy:
