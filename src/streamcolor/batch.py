@@ -1,6 +1,6 @@
 """numpy batch kernels behind ``BipartiteColorer._take_run``, ``verify``,
 ``check_bipartition``, ``chunk_concentration``, ``streamcolor verify``'s
-edge check and the two file readers.
+edge check, the two file readers and G(n, p) sampling.
 
 Each kernel computes exactly what its scalar twin computes, on a
 transcript's int64 columns, and declines what it cannot hold:
@@ -9,13 +9,15 @@ before an edge whose index draw ``feed`` must redraw; ``verify_columns``
 returns None for a transcript that ``verify``'s record-by-record loop must
 decide, such as one with an edge out of range; and ``edge_block`` and
 ``transcript_block`` decline a block of a file that the line parser must
-read.  This module is the only one that imports numpy at load time; its
-callers import it on first use, so ``import streamcolor`` and building a
-colourer load neither it nor numpy.
+read.  ``gnp_edges`` returns the scalar geometric-skip loop's edges from
+the same ``random.Random`` draws, for n <= 2**30.  This module is the only
+one that imports numpy at load time; its callers import it on first use, so
+``import streamcolor`` and building a colourer load neither it nor numpy.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -26,6 +28,8 @@ from .core import _ARITY, _KINDS, Edge, Transcript, WrongAlgorithmError, checked
 from .verify import PaletteKey, PaletteStats, VerificationReport
 
 if TYPE_CHECKING:
+    import random
+
     from .bipartite import BipartiteColorer
 
 
@@ -46,6 +50,12 @@ def _columns(transcript: Transcript) -> list:
     """The transcript's six columns as int64 arrays sharing its memory; the
     transcript cannot grow while they live."""
     return [np.frombuffer(column, dtype=np.int64) for column in transcript.columns]
+
+
+def _edges(u: np.ndarray, v: np.ndarray) -> list[Edge]:
+    """``[Edge(u[i], v[i]), ...]`` with plain int endpoints."""
+    # Edge(u, v) is tuple.__new__(Edge, (u, v)); calling it directly skips a Python frame
+    return list(map(tuple.__new__, repeat(Edge), zip(u.tolist(), v.tolist())))
 
 
 def _signature_limbs(colorer: BipartiteColorer):
@@ -359,8 +369,7 @@ def edge_block(data: bytes, start: int, stop: int, n: int) -> list[Edge] | None:
     u, v = _numbers(b).reshape(-1, 2).T
     if not _checked(u, v, n):
         return None
-    # Edge(u, v) is tuple.__new__(Edge, (u, v)); calling it directly skips a Python frame
-    return list(map(tuple.__new__, repeat(Edge), zip(u.tolist(), v.tolist())))
+    return _edges(u, v)
 
 
 def transcript_block(data: bytes, start: int, stop: int, n: int, out: Transcript) -> bool:
@@ -382,3 +391,61 @@ def transcript_block(data: bytes, start: int, stop: int, n: int, out: Transcript
     c2[width < 5] = 0
     out._append(u, v, kind, c0, c1, c2)
     return True
+
+
+# ---------------------------------------------------------------------------
+# G(n, p) sampling
+
+_BLOCK = 8192  # draws, or ranks of p >= 1, per block
+
+
+def pairs(rank: np.ndarray, n: int) -> list[Edge]:
+    """The ``rank``-th pairs ``(a, b)``, ``a < b``, of ``range(n)`` in
+    lexicographic order.  ``a`` is ``n - 2 - (isqrt(8 * rev + 1) - 1) // 2``
+    with ``rev = C(n, 2) - 1 - rank``; the square root is taken in floats and
+    corrected by one either way with exact squares.  Every step is exact in
+    int64 for C(n, 2) <= 2**59."""
+    s = 8 * (n * (n - 1) // 2 - 1 - rank) + 1
+    r = np.sqrt(s).astype(np.int64)
+    r -= r * r > s
+    r += (r + 1) * (r + 1) <= s
+    a = n - 2 - (r - 1) // 2
+    return _edges(a, rank - (a * n - a * (a + 1) // 2) + a + 1)
+
+
+def gnp_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
+    """The edges of G(n, p) in rank order, drawn by geometric skips over the
+    C(n, 2) ranked pairs: from rank ``idx`` the next edge is ``floor(gap) + 1``
+    ranks on, ``gap = log(1 - rng.random()) / log(1 - p)``, until a skip
+    passes the last pair.  This is the scalar loop, block by block, with the
+    same draws and the same output: a quotient within four ulps of an integer,
+    or infinite, is recomputed with ``math.log``, whose result the loop
+    floors, and the stop test runs in integers.  The last block draws past the last edge.
+    Needs C(n, 2) <= 2**59, that is n <= 2**30."""
+    total = n * (n - 1) // 2
+    if p <= 0.0:
+        return []
+    edges = []
+    if p >= 1.0:
+        for start in range(0, total, _BLOCK):
+            edges += pairs(np.arange(start, min(start + _BLOCK, total)), n)
+        return edges
+    log_q = math.log1p(-p)
+    draw = rng.random
+    idx = -1
+    # a subnormal p overflows gaps to infinity; inf - rint(inf) is NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            x = np.fromiter((draw() for _ in range(_BLOCK)), np.float64, _BLOCK)
+            gap = np.log(1.0 - x) / log_q
+            for i in np.flatnonzero(~(np.abs(gap - np.rint(gap)) > 4 * np.spacing(gap))).tolist():
+                gap[i] = math.log(1.0 - float(x[i])) / log_q
+            # gap >= total - 1 - idx, the loop's stop test, is idx + floor(gap) + 1 >= total;
+            # no sum before the first stop exceeds 2**59 + 2**61 + 1
+            pos = idx + np.cumsum(np.minimum(np.floor(gap), 2.0**61).astype(np.int64) + 1)
+            stop = np.flatnonzero(pos >= total)
+            if len(stop):
+                edges += pairs(pos[: stop[0]], n)
+                return edges
+            edges += pairs(pos, n)
+            idx = int(pos[-1])

@@ -3,6 +3,9 @@
 Every stream is a deterministic function of (family, order, seed).  A family
 checks its parameters when built and never emits a repeated edge or a self-loop;
 ``FromFile`` streams its file as ``read_edge_list`` checked it, repeats included.
+G(n, p) is sampled on a numpy batch path (``batch.gnp_edges``, imported on the
+first such stream) whose draws come from the stream's ``random.Random``; it is
+exact for n <= 2**30, and ``GnpRandom`` refuses a larger n.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from math import isqrt
 from typing import Union
 
 from .core import Edge, StreamHeader, ValidationError, read_edge_list
@@ -45,6 +47,9 @@ class Star:
             raise ValidationError(f"star needs >= 1 leaf, got {self.t}")
 
 
+_GNP_MAX_N = 1 << 30  # the sampler is exact while C(n, 2) <= 2**59
+
+
 @dataclass(frozen=True)
 class GnpRandom:
     n: int
@@ -53,6 +58,8 @@ class GnpRandom:
     def __post_init__(self):
         if self.n < 1 or not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"gnp needs n >= 1 and p in [0,1], got n={self.n} p={self.p}")
+        if self.n > _GNP_MAX_N:
+            raise ValidationError(f"gnp needs n <= 2**30 = {_GNP_MAX_N}, got n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -91,33 +98,6 @@ class AdversarialSorted:
 
 
 ArrivalOrder = Union[AsGiven, UniformRandomPermutation, AdversarialSorted]
-
-
-def _pair_from_index(idx: int, n: int) -> Edge:
-    """Decode a rank in [0, C(n,2)) to the idx-th pair in lexicographic order."""
-    total = n * (n - 1) // 2
-    rev = total - 1 - idx
-    a = n - 2 - (isqrt(8 * rev + 1) - 1) // 2
-    b = idx - (a * n - a * (a + 1) // 2) + a + 1
-    return Edge(a, b)
-
-
-def _gnp_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
-    if p <= 0.0:
-        return []
-    total = n * (n - 1) // 2
-    if p >= 1.0:
-        return [_pair_from_index(i, n) for i in range(total)]
-    # geometric skips over the ranked pair space: only ~p*C(n,2) draws
-    edges = []
-    log_q = math.log1p(-p)
-    idx = -1
-    while True:
-        gap = math.log(1.0 - rng.random()) / log_q
-        if gap >= total - 1 - idx:  # past the last pair; an infinite gap too
-            return edges
-        idx += int(gap) + 1
-        edges.append(_pair_from_index(idx, n))
 
 
 def _random_regular_edges(n: int, d: int, rng: random.Random) -> list[Edge]:
@@ -159,7 +139,9 @@ def _family_edges(family: GraphFamily, rng: random.Random) -> tuple[int, list[Ed
     if isinstance(family, Star):
         return family.t + 1, [Edge(0, leaf) for leaf in range(1, family.t + 1)]
     if isinstance(family, GnpRandom):
-        return family.n, _gnp_edges(family.n, family.p, rng)
+        from .batch import gnp_edges  # numpy loads on the first G(n, p) stream
+
+        return family.n, gnp_edges(family.n, family.p, rng)
     if isinstance(family, RandomRegular):
         return family.n, _random_regular_edges(family.n, family.d, rng)
     if isinstance(family, FromFile):
@@ -213,6 +195,8 @@ def parse_family(text: str) -> GraphFamily:
         raise ValidationError(
             f"unknown family {name!r}; expected one of {sorted(_FAMILY_SPECS)}"
         )
+    if name == "file" and rest:
+        return FromFile(rest)  # a path may hold colons
     cls, arg_types = _FAMILY_SPECS[name]
     raw_args = rest.split(":") if rest else []
     if len(raw_args) != len(arg_types):

@@ -180,13 +180,30 @@ def test_import_and_construction_leave_numpy_unloaded():
         "for c in (sc.ChunkColorer(sc.ChunkConfig(n=6, alpha=1)), sc.GreedyStreamColorer(6)):\n"
         "    t = sc.run_stream(c, edges, sc.StreamHeader(6))\n"
         "    assert len(t) == len(t.records) == len(edges)\n"
+        "assert sc.parse_family('gnp:64:0.2') == sc.GnpRandom(64, 0.2)\n"
         "print('numpy' in sys.modules)\n"
     )
+    assert run_python(code) == "False"
+
+
+def test_gnp_sampling_leaves_numpy_random_unloaded():
+    # the draws come from the stream's random.Random, not numpy.random
+    code = (
+        "import sys, streamcolor as sc\n"
+        "header, edges = sc.generate(sc.GnpRandom(64, 0.2), sc.UniformRandomPermutation(), 1)\n"
+        "assert edges and 'numpy' in sys.modules\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert run_python(code) == "False"
+
+
+def run_python(code: str) -> str:
+    """What ``code`` prints, run in a fresh interpreter on this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(streamcolor.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
 
 
 # ---------------------------------------------------------------------------

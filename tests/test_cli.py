@@ -160,13 +160,25 @@ def test_bad_header_exits_two_naming_line_one(out_env, capsys, header):
 @pytest.mark.parametrize(
     "family",
     ["complete:0", "star:0", "gnp:10:1.5", "gnp:0:0.5", "regular:5:3", "regular:4:4",
-     "bipartite:0:3"],
+     "bipartite:0:3", "gnp:1073741825:1e-18"],
 )
 def test_bad_family_exits_two(out_env, capsys, family):
     assert main(["generate", "--family", family]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not (out_env / "stream.el").exists()
+
+
+def test_a_file_family_path_may_hold_colons(out_env, capsys):
+    graph = out_env / "a:b.el"
+    graph.write_text("n 4\n0 1\n1 2\n2 3\n")
+    assert main(["generate", "--family", f"file:{graph}", "-o", "copy.el"]) == 0
+    assert read_edge_list(out_env / "copy.el")[1] == [Edge(0, 1), Edge(1, 2), Edge(2, 3)]
+    assert main(["sweep", "--family", f"file:{graph}", "--algo", "chunk", "--seeds", "0",
+                 "--csv", "rows.csv"]) == 0
+    row = (out_env / "rows.csv").read_text().splitlines()[2].split(",")
+    assert row[CSV_COLUMNS.index("proper")] == "1" and row[CSV_COLUMNS.index("error")] == ""
 
 
 @pytest.mark.parametrize("family", ["complete:0", "star:0", "gnp:10:1.5", "regular:5:3"])

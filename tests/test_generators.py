@@ -1,7 +1,14 @@
 import itertools
 import math
+import random
+import warnings
+from math import isqrt
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import (
     AdversarialSorted,
@@ -23,7 +30,44 @@ from streamcolor import (
     write_edge_list,
     StreamHeader,
 )
-from streamcolor.generators import _pair_from_index
+from streamcolor.batch import gnp_edges, pairs
+
+
+# the scalar G(n, p) sampler, the oracle of the numpy kernel that replaced it
+def _pair_from_index(idx: int, n: int) -> Edge:
+    """Decode a rank in [0, C(n,2)) to the idx-th pair in lexicographic order."""
+    total = n * (n - 1) // 2
+    rev = total - 1 - idx
+    a = n - 2 - (isqrt(8 * rev + 1) - 1) // 2
+    b = idx - (a * n - a * (a + 1) // 2) + a + 1
+    return Edge(a, b)
+
+
+def _gnp_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
+    if p <= 0.0:
+        return []
+    total = n * (n - 1) // 2
+    if p >= 1.0:
+        return [_pair_from_index(i, n) for i in range(total)]
+    # geometric skips over the ranked pair space: only ~p*C(n,2) draws
+    edges = []
+    log_q = math.log1p(-p)
+    idx = -1
+    while True:
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= total - 1 - idx:  # past the last pair; an infinite gap too
+            return edges
+        idx += int(gap) + 1
+        edges.append(_pair_from_index(idx, n))
+
+
+def assert_matches_oracle(n, p, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, edges = generate(GnpRandom(n, p), AsGiven(), seed)
+    want = _gnp_edges(n, p, random.Random(seed))
+    assert edges == want
+    assert all(type(end) is int for edge in edges[:1] for end in edge)
 
 
 class TestFamilies:
@@ -100,9 +144,58 @@ class TestFamilies:
 class TestPairDecode:
     def test_matches_lexicographic_enumeration(self):
         for n in (2, 3, 5, 8, 13):
-            pairs = list(itertools.combinations(range(n), 2))
-            decoded = [_pair_from_index(i, n) for i in range(len(pairs))]
-            assert decoded == [Edge(*p) for p in pairs]
+            want = list(itertools.combinations(range(n), 2))
+            decoded = pairs(np.arange(len(want)), n)
+            assert decoded == [Edge(*p) for p in want]
+
+    @pytest.mark.parametrize("n", [2**20 + 3, 2**26, 2**27 + 5, 2**30])
+    def test_matches_the_scalar_decode_at_row_ends(self, n):
+        # the first and last rank of rows near the top, middle and bottom,
+        # where the float square root is nearest an integer
+        total = n * (n - 1) // 2
+        rows = [0, 1, 2, n // 3, n // 2, n - 4, n - 3, n - 2]
+        firsts = [a * n - a * (a + 1) // 2 for a in rows]
+        ranks = sorted({r for f, a in zip(firsts, rows) for r in (f, f + n - a - 2)} | {total - 1})
+        assert pairs(np.array(ranks), n) == [_pair_from_index(r, n) for r in ranks]
+
+
+class TestGnpMatchesScalarOracle:
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        p=st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1 - 1e-12]) | st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_cases(self, n, p, seed):
+        assert_matches_oracle(n, p, seed)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_acceptance_sweep_streams(self, seed):
+        assert_matches_oracle(2048, 0.05, seed)
+
+    def test_the_chunk_cli_stream(self):
+        assert_matches_oracle(2000, 0.05, 11)
+
+    def test_the_largest_n(self):
+        # C(2**30, 2) * 1e-15 is about 576 edges, each gap near 1e15
+        assert_matches_oracle(2**30, 1e-15, 0)
+
+    def test_a_log_one_ulp_off_leaves_the_stream_unchanged(self, monkeypatch):
+        # at p = 1/2 these draws give gaps of exactly 1, 2 and 3; a log one ulp
+        # nearer zero puts each just below its integer, where the kernel
+        # recomputes it with math.log
+        def draws():
+            return SimpleNamespace(random=itertools.cycle([0.5, 0.75, 0.875]).__next__)
+
+        want = _gnp_edges(50, 0.5, draws())
+        log = np.log
+        monkeypatch.setattr(np, "log", lambda a: np.nextafter(log(a), 0))
+        assert gnp_edges(50, 0.5, draws()) == want
+
+    def test_n_above_the_exact_domain_is_refused(self):
+        with pytest.raises(ValidationError, match=r"n <= 2\*\*30"):
+            GnpRandom(2**30 + 1, 1e-18)
+        GnpRandom(2**30, 0.5)
 
 
 class TestOrders:
@@ -155,9 +248,10 @@ class TestParsers:
         assert parse_family("gnp:1000:0.01") == GnpRandom(1000, 0.01)
         assert parse_family("regular:1000:3") == RandomRegular(1000, 3)
         assert parse_family("file:g.el") == FromFile("g.el")
+        assert parse_family("file:/tmp/a:b.el") == FromFile("/tmp/a:b.el")
 
     def test_family_errors(self):
-        for bad in ("complete", "complete:a", "gnp:10", "mystery:1"):
+        for bad in ("complete", "complete:a", "gnp:10", "mystery:1", "file", "file:"):
             with pytest.raises(ValidationError):
                 parse_family(bad)
 
