@@ -5,11 +5,10 @@ edge check, the two file readers and G(n, p) sampling.
 Each kernel computes exactly what its scalar twin computes, on a
 transcript's int64 columns, and declines what it cannot hold:
 ``feed_block`` takes the runs ``feed_many`` checked and oriented, and stops
-before an edge whose index draw ``feed`` must redraw; ``verify_columns``
-returns None for a transcript that ``verify``'s record-by-record loop must
-decide, such as one with an edge out of range; and ``edge_block`` and
+before an edge whose index draw ``feed`` must redraw; and ``edge_block`` and
 ``transcript_block`` decline a block of a file that the line parser must
-read.  ``gnp_edges`` returns the scalar geometric-skip loop's edges from
+read.  ``verify_columns`` is ``verify`` and decides every transcript.
+``gnp_edges`` returns the scalar geometric-skip loop's edges from
 the same ``random.Random`` draws, for n <= 2**30.  This module is the only
 one that imports numpy at load time; its callers import it on first use, so
 ``import streamcolor`` and building a colourer load neither it nor numpy.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -167,23 +166,33 @@ def _rank(*columns):
     return rank, count
 
 
-def verify_columns(transcript: Transcript) -> VerificationReport | None:
-    """``_verify_scalar``'s report computed on the transcript's columns, or
-    None when that loop must decide: an empty transcript, an edge that
-    ``checked_edge`` fails on the header's ``n``, or a conflict."""
+def _breaks_rule(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """``checked_edge``'s rule in column form: whether each (u, v) has an
+    endpoint outside 0..n-1 or is a self-loop."""
+    return (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | (u == v)
+
+
+def verify_columns(transcript: Transcript) -> VerificationReport:
+    """``verify``'s report, computed on the transcript's columns.  The first
+    record whose edge ``checked_edge`` fails on the header's ``n`` raises its
+    ValidationError."""
     k = len(transcript)
     if not k:
-        return None
+        return VerificationReport(True, [], 0, 0, 0, {})
     u, v, kind, *fields = _columns(transcript)
+    bad = np.flatnonzero(_breaks_rule(u, v, transcript.header.n))
+    if len(bad):
+        checked_edge(Edge(int(u[bad[0]]), int(v[bad[0]])), transcript.header.n)  # raises
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if lo.min() < 0 or hi.max() >= transcript.header.n or (lo == hi).any():
-        return None
 
     colour, colour_count = _rank(kind, *fields)
     vertex, vertex_count = _dense(np.concatenate([lo, hi]))  # lo ends, then hi ends
     end_colour = np.concatenate([colour, colour])
+    # two records share a vertex and a colour; the key is rebuilt rather than
+    # held, which would raise the peak heap of every proper transcript
+    conflicts = []
     if _dense(vertex * colour_count + end_colour)[1] < 2 * k:
-        return None  # two records share a vertex and a colour
+        conflicts = _conflicts(transcript, lo, hi, vertex * colour_count + end_colour)
     colour_kind = np.empty(colour_count, dtype=np.int64)
     colour_kind[colour] = kind
     distinct_per_kind = np.bincount(colour_kind, minlength=3).tolist()
@@ -213,19 +222,12 @@ def verify_columns(transcript: Transcript) -> VerificationReport | None:
         code = int(kind[row])
         label = _KINDS[code][2]
         key = (label, int(index[row])) if code < 2 else (label,)
-        local, left, right = highest[p]
-        palettes[key] = PaletteStats(
-            edge_count=edge_count[p],
-            max_degree=max_degree[p],
-            max_local=local,
-            # the counters increment past the announced value
-            max_left=left + 1,
-            max_right=right + 1,
-        )
+        local, left, right = highest[p]  # the counters increment past the announced value
+        palettes[key] = PaletteStats(edge_count[p], max_degree[p], local, left + 1, right + 1)
 
     return VerificationReport(
-        proper=True,
-        conflicts=[],
+        proper=not conflicts,
+        conflicts=conflicts,
         distinct_colours=colour_count,
         overflow_colours=distinct_per_kind[2],
         max_degree=int(np.bincount(vertex).max()),
@@ -235,6 +237,27 @@ def verify_columns(transcript: Transcript) -> VerificationReport | None:
         duplicate_edges=k - _dense(vertex[:k] * vertex_count + vertex[k:])[1],
         records=k,
     )
+
+
+def _conflicts(transcript: Transcript, lo, hi, end_key) -> list:
+    """``verify``'s conflict list; ``end_key`` numbers the (vertex, colour)
+    of each record's lo end, then of each hi end.  The pairs come by vertex,
+    then by colour in the order of its first record there, then by record."""
+    k = len(transcript)
+    group, group_count = _dense(end_key)
+    ends = np.flatnonzero(np.bincount(group)[group] > 1)
+    group, record, vertex = group[ends], ends % k, np.concatenate([lo, hi])[ends]
+    first = np.full(group_count, k, dtype=np.int64)
+    np.minimum.at(first, group, record)
+    order = np.lexsort((record, first[group], vertex))
+    group, record, vertex = group[order], record[order], vertex[order].tolist()
+    edges = _edges(lo[record], hi[record])
+    starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist() + [len(edges)]
+    conflicts = []
+    for a, b in zip(starts, starts[1:]):
+        colour = transcript[int(record[a])][1]
+        conflicts += [(e1, e2, vertex[a], colour) for e1, e2 in combinations(edges[a:b], 2)]
+    return conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,7 @@ def chunk_degrees(transcript: Transcript) -> tuple[int, list]:
     header's ``n``, raises as in the record-by-record loop."""
     u, v, kind, chunk, _, _ = _columns(transcript)
     n = transcript.header.n
-    bad = np.flatnonzero((kind != 0) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | (u == v))
+    bad = np.flatnonzero((kind != 0) | _breaks_rule(u, v, n))
     if len(bad):
         row = bad[0]
         if kind[row] != 0:
@@ -354,9 +377,8 @@ def _numbers(b: np.ndarray) -> np.ndarray:
 
 
 def _checked(u: np.ndarray, v: np.ndarray, n: int) -> bool:
-    """``checked_edge``'s rule on every (u, v); no parsed id is negative."""
-    n = min(n, 1 << 62)  # every parsed id is below 10**18
-    return bool(((u < n) & (v < n) & (u != v)).all())
+    """``checked_edge``'s rule on every (u, v)."""
+    return not _breaks_rule(u, v, min(n, 1 << 62)).any()  # every parsed id is below 10**18
 
 
 def edge_block(data: bytes, start: int, stop: int, n: int) -> list[Edge] | None:

@@ -34,6 +34,7 @@ from .generators import (
 )
 from .harness import (
     ALGORITHMS,
+    CSV_VERSION,
     ExperimentSpec,
     check_parameters,
     colour_pass,
@@ -68,6 +69,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     check_parameters(args.algo, args.alpha, args.s)
+    sink = _csv_sink(args.csv)
     started = time.perf_counter()
     header, edges = read_edge_list(args.graph)
     n = header.n
@@ -81,7 +83,7 @@ def _cmd_run(args) -> int:
     out = _resolve(args.output, "run.transcript")
     row = {"algo": args.algo, "family": args.graph, "order": "as-given", "seed": seed}
     colour_pass(row, colorer, param, header, edges, started, partial(write_transcript, out))
-    _emit_csv([row], args.csv)
+    _emit_csv([row], sink)
     print(
         f"{args.algo}: {row['colours']} colours on m={row['m']} "
         f"max_degree={row['max_degree']}, proper={row['proper'] == 1}, "
@@ -105,15 +107,10 @@ def _cmd_verify(args) -> int:
         print(f"duplicate edges: {report.duplicate_edges}")
     for key in sorted(report.per_palette_stats):
         st = report.per_palette_stats[key]
-        print(
-            f"  palette {key}: edges={st.edge_count} max_degree={st.max_degree}"
-            + (f" max_local={st.max_local}" if key[0] == "chunk" else "")
-            + (
-                f" max_left={st.max_left} max_right={st.max_right}"
-                if key[0] == "triple"
-                else ""
-            )
-        )
+        extra = f" max_local={st.max_local}" if key[0] == "chunk" else ""
+        if key[0] == "triple":
+            extra = f" max_left={st.max_left} max_right={st.max_right}"
+        print(f"  palette {key}: edges={st.edge_count} max_degree={st.max_degree}{extra}")
     if report.records and all(key[0] == "chunk" for key in report.per_palette_stats):
         if len(report.per_palette_stats) >= 2:
             conc = chunk_concentration(transcript)
@@ -194,21 +191,36 @@ def _cmd_sweep(args) -> int:
         for alpha in alphas
         for s in widths
     ]
+    sink = _csv_sink(args.csv)
     rows = [row for spec in specs for row in run_experiment(spec)]
-    _emit_csv(rows, args.csv)
+    _emit_csv(rows, sink)
     bad = [r for r in rows if not r["proper"]]
     return 1 if bad else 0
 
 
-def _emit_csv(rows: list[dict], path: str | None) -> None:
-    text = rows_to_csv(rows)
-    if path:
-        target = _resolve(path, path)
-        new = not target.exists()
-        with open(target, "a") as fh:
-            fh.write(text if new else text.split("\n", 2)[2])  # no version or header
-    else:
+def _csv_sink(path: str | None) -> tuple[Path | None, bool]:
+    """Where CSV rows go (None: stdout) and whether the version line and
+    header go first.  A file must be missing, empty or start with both, else
+    ValidationError; it is checked before any colouring."""
+    if not path:
+        return None, True
+    target, head, start = _resolve(path, path), rows_to_csv([]).encode(), b""
+    if target.exists():
+        with open(target, "rb") as fh:
+            start = fh.read(len(head))
+    if start not in (b"", head):
+        raise ValidationError(f"{target} does not start with the {CSV_VERSION} line and header")
+    return target, not start
+
+
+def _emit_csv(rows: list[dict], sink: tuple[Path | None, bool]) -> None:
+    path, head = sink
+    text = rows_to_csv(rows) if head else rows_to_csv(rows).split("\n", 2)[2]
+    if path is None:
         print(text, end="")
+    else:
+        with open(path, "a") as fh:
+            fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,31 +7,17 @@ the per-algorithm measurements the experiment harness and acceptance suite
 consume.
 
 ``verify``, ``chunk_concentration`` and ``check_bipartition`` compute on the
-transcript's int64 columns with numpy.  The record-by-record loop ``verify``
-replaces stays as ``_verify_scalar``, which decides every transcript the
-columns cannot (conflicts, edges out of range) and is the reference the
-numpy path is tested against.  ``verify`` and ``chunk_concentration`` apply
-``checked_edge`` on the header's ``n`` as ``read_transcript`` does, so a
-transcript and its file get one verdict.
+transcript's int64 columns with numpy (``batch``, loaded on first use);
+``verify`` decides every transcript there, conflicts included.  ``verify``
+and ``chunk_concentration`` apply ``checked_edge`` on the header's ``n`` as
+``read_transcript`` does, so a transcript and its file get one verdict.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import (
-    _KIND_OF,
-    _KINDS,
-    ChunkColour,
-    ColourId,
-    Edge,
-    OverflowColour,
-    Transcript,
-    TripleColour,
-    ValidationError,
-    checked_edge,
-)
+from .core import ColourId, Edge, Transcript, ValidationError
 
 PaletteKey = tuple  # ("chunk", index) | ("triple", index) | ("overflow",)
 
@@ -59,13 +45,6 @@ class VerificationReport:
     records: int = 0
 
 
-def _palette_key(colour: ColourId) -> PaletteKey:
-    """The colour's palette: its kind's label, and its first field unless
-    it is an overflow colour, whose palette is one for all."""
-    _, _, label = _KINDS[_KIND_OF[type(colour)]]
-    return (label,) if type(colour) is OverflowColour else (label, colour[0])
-
-
 def verify(transcript: Transcript) -> VerificationReport:
     """Exhaustive pairwise-incidence properness check plus palette stats.
 
@@ -74,60 +53,7 @@ def verify(transcript: Transcript) -> VerificationReport:
     """
     from .batch import verify_columns  # numpy and the kernel load on first use
 
-    report = verify_columns(transcript)
-    return report if report is not None else _verify_scalar(transcript)
-
-
-def _verify_scalar(transcript: Transcript) -> VerificationReport:
-    """The record-by-record form of :func:`verify`; it decides every
-    transcript the numpy columns cannot."""
-    at_vertex: dict[int, dict[ColourId, list[Edge]]] = {}
-    degree: dict[int, int] = {}
-    colours: set[ColourId] = set()
-    palettes: dict[PaletteKey, PaletteStats] = {}
-    palette_degrees: dict[PaletteKey, dict[int, int]] = {}
-    distinct_edges: set[Edge] = set()
-
-    for edge, colour in transcript:
-        e = checked_edge(edge, transcript.header.n)
-        distinct_edges.add(e)
-        colours.add(colour)
-        key = _palette_key(colour)
-        stats = palettes.setdefault(key, PaletteStats())
-        pdeg = palette_degrees.setdefault(key, {})
-        stats.edge_count += 1
-        for x in e:
-            pdeg[x] = pdeg.get(x, 0) + 1
-            stats.max_degree = max(stats.max_degree, pdeg[x])
-            degree[x] = degree.get(x, 0) + 1
-            at_vertex.setdefault(x, {}).setdefault(colour, []).append(e)
-        if isinstance(colour, ChunkColour):
-            stats.max_local = max(stats.max_local, colour.local)
-        elif isinstance(colour, TripleColour):  # the counters increment past the announced value
-            stats.max_left = max(stats.max_left, colour.left + 1)
-            stats.max_right = max(stats.max_right, colour.right + 1)
-
-    conflicts: list[tuple[Edge, Edge, int, ColourId]] = []
-    for vertex in sorted(at_vertex):
-        for colour, edges in at_vertex[vertex].items():
-            if len(edges) > 1:
-                for a in range(len(edges)):
-                    for b in range(a + 1, len(edges)):
-                        conflicts.append((edges[a], edges[b], vertex, colour))
-
-    per_kind = Counter(map(type, colours))
-    return VerificationReport(
-        proper=not conflicts,
-        conflicts=conflicts,
-        distinct_colours=len(colours),
-        overflow_colours=per_kind[OverflowColour],
-        max_degree=max(degree.values(), default=0),
-        per_palette_stats=palettes,
-        distinct_triple_colours=per_kind[TripleColour],
-        distinct_chunk_colours=per_kind[ChunkColour],
-        duplicate_edges=len(transcript) - len(distinct_edges),
-        records=len(transcript),
-    )
+    return verify_columns(transcript)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Differential tests of the numpy batch paths against their scalar oracles:
 ``BipartiteColorer.feed_many`` against ``feed``, ``verify`` against
-``_verify_scalar``, ``check_bipartition`` against a record-by-record
+``verify_records``, ``check_bipartition`` against a record-by-record
 ``bit`` loop, and the file readers' block parsers against the line parser."""
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,15 +19,20 @@ from hypothesis import strategies as st
 import streamcolor
 from streamcolor import (
     BipartiteColorer,
+    ChunkColorer,
     ChunkColour,
+    ChunkConfig,
     ContractViolation,
     Edge,
+    GnpRandom,
     OverflowColour,
     StreamHeader,
     Transcript,
     TripleColour,
+    UniformRandomPermutation,
     ValidationError,
     check_bipartition,
+    generate,
     read_edge_list,
     read_transcript,
     run_stream,
@@ -35,9 +41,10 @@ from streamcolor import (
     write_transcript,
 )
 from streamcolor import batch, core
+from streamcolor.core import _KIND_OF, _KINDS, ColourId, checked_edge
 from streamcolor.rng import MASK64, SplitMix64
 from streamcolor.batch import same_edge_multiset, verify_columns
-from streamcolor.verify import _verify_scalar
+from streamcolor.verify import PaletteKey, PaletteStats, VerificationReport
 
 WIDTHS = (1, 2, 3, 4, 16, 63, 64, 65, 130, 275)
 GAMMA, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -227,23 +234,82 @@ def transcripts(draw):
     return Transcript(StreamHeader(8), records)
 
 
+def _palette_key(colour: ColourId) -> PaletteKey:
+    """The colour's palette: its kind's label, and its first field unless
+    it is an overflow colour, whose palette is one for all."""
+    _, _, label = _KINDS[_KIND_OF[type(colour)]]
+    return (label,) if type(colour) is OverflowColour else (label, colour[0])
+
+
+def verify_records(transcript: Transcript) -> VerificationReport:
+    """The record-by-record form of :func:`verify`: the oracle of the
+    column path."""
+    at_vertex: dict[int, dict[ColourId, list[Edge]]] = {}
+    degree: dict[int, int] = {}
+    colours: set[ColourId] = set()
+    palettes: dict[PaletteKey, PaletteStats] = {}
+    palette_degrees: dict[PaletteKey, dict[int, int]] = {}
+    distinct_edges: set[Edge] = set()
+
+    for edge, colour in transcript:
+        e = checked_edge(edge, transcript.header.n)
+        distinct_edges.add(e)
+        colours.add(colour)
+        key = _palette_key(colour)
+        stats = palettes.setdefault(key, PaletteStats())
+        pdeg = palette_degrees.setdefault(key, {})
+        stats.edge_count += 1
+        for x in e:
+            pdeg[x] = pdeg.get(x, 0) + 1
+            stats.max_degree = max(stats.max_degree, pdeg[x])
+            degree[x] = degree.get(x, 0) + 1
+            at_vertex.setdefault(x, {}).setdefault(colour, []).append(e)
+        if isinstance(colour, ChunkColour):
+            stats.max_local = max(stats.max_local, colour.local)
+        elif isinstance(colour, TripleColour):  # the counters increment past the announced value
+            stats.max_left = max(stats.max_left, colour.left + 1)
+            stats.max_right = max(stats.max_right, colour.right + 1)
+
+    conflicts: list[tuple[Edge, Edge, int, ColourId]] = []
+    for vertex in sorted(at_vertex):
+        for colour, edges in at_vertex[vertex].items():
+            if len(edges) > 1:
+                for a in range(len(edges)):
+                    for b in range(a + 1, len(edges)):
+                        conflicts.append((edges[a], edges[b], vertex, colour))
+
+    per_kind = Counter(map(type, colours))
+    return VerificationReport(
+        proper=not conflicts,
+        conflicts=conflicts,
+        distinct_colours=len(colours),
+        overflow_colours=per_kind[OverflowColour],
+        max_degree=max(degree.values(), default=0),
+        per_palette_stats=palettes,
+        distinct_triple_colours=per_kind[TripleColour],
+        distinct_chunk_colours=per_kind[ChunkColour],
+        duplicate_edges=len(transcript) - len(distinct_edges),
+        records=len(transcript),
+    )
+
+
+def assert_verify_is_the_oracle(transcript):
+    """``verify`` gives the oracle's report or raises the oracle's error."""
+    got, want = outcome(verify, transcript), outcome(verify_records, transcript)
+    assert got == want
+    assert repr(got) == repr(want)  # palette order, conflict order and element types too
+
+
 class TestVerifyColumns:
     @settings(deadline=None, max_examples=300)
     @given(transcript=transcripts())
     def test_matches_scalar(self, transcript):
-        scalar = _verify_scalar(transcript)
-        columns = verify_columns(transcript)
-        if columns is None:
-            assert not transcript.records or not scalar.proper
-        else:
-            assert columns == scalar
-            assert list(columns.per_palette_stats) == list(scalar.per_palette_stats)
-        assert verify(transcript) == scalar
+        assert_verify_is_the_oracle(transcript)
 
     def test_empty(self):
         transcript = Transcript(StreamHeader(3))
-        assert verify_columns(transcript) is None
-        assert verify(transcript) == _verify_scalar(transcript)
+        assert verify_columns(transcript) == VerificationReport(True, [], 0, 0, 0, {})
+        assert_verify_is_the_oracle(transcript)
 
     @pytest.mark.parametrize(
         "record",
@@ -254,8 +320,39 @@ class TestVerifyColumns:
     )
     def test_unusual_records_are_the_scalar_loops(self, record):
         transcript = Transcript(StreamHeader(4), [(Edge(0, 1), ChunkColour(0, 0)), record])
-        assert verify_columns(transcript) is None
-        assert repr(outcome(verify, transcript)) == repr(outcome(_verify_scalar, transcript))
+        with pytest.raises(ValidationError):
+            verify_columns(transcript)
+        assert_verify_is_the_oracle(transcript)
+
+
+@pytest.fixture(scope="module")
+def gnp_300():
+    return generate(GnpRandom(300, 0.1), UniformRandomPermutation(), 0)
+
+
+@pytest.mark.parametrize(
+    "colorer",
+    [
+        lambda n: BipartiteColorer(n, 4, 0),
+        lambda n: BipartiteColorer(n, 16, 0),
+        lambda n: ChunkColorer(ChunkConfig(n=n, alpha=1)),
+    ],
+    ids=["bipartite-s4", "bipartite-s16", "chunk-alpha1"],
+)
+def test_planted_conflicts_on_real_transcripts(colorer, gnp_300):
+    """A coloured G(300, 0.1) stream with a drawn record copied in, once with
+    its own colour and once with the colour of a record at a shared vertex."""
+    header, edges = gnp_300
+    records = list(run_stream(colorer(header.n), edges, header))
+    rng = random.Random(0)
+    edge, colour = records[rng.randrange(len(records))]
+    neighbours = [c for e, c in records if c != colour and set(e) & set(edge)]
+    for planted in (colour, rng.choice(neighbours)):
+        copy = records[:]
+        copy.insert(rng.randrange(len(copy) + 1), (edge, planted))
+        transcript = Transcript(header, copy)
+        assert not verify(transcript).proper
+        assert_verify_is_the_oracle(transcript)
 
 
 # ---------------------------------------------------------------------------

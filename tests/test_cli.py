@@ -106,6 +106,49 @@ def test_sweep_appends_rows(out_env):
     assert len(lines) == 2 + 2 * 3  # header comment + columns + rows
 
 
+def csv_command(command, out_env):
+    """``run`` or ``sweep`` on complete:6, writing its transcripts."""
+    main(["generate", "--family", "complete:6", "-o", "g.el"])
+    if command == "run":
+        return ["run", "--algo", "chunk", "--alpha", "1", "--graph", str(out_env / "g.el"),
+                "-o", "t.tr"]
+    return ["sweep", "--family", "complete:6", "--algo", "chunk", "--seeds", "0",
+            "--transcripts", str(out_env / "runs")]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_csv_into_an_empty_file_gets_the_version_and_header(out_env, command):
+    argv = csv_command(command, out_env)
+    (out_env / "rows.csv").write_text("")
+    assert main([*argv, "--csv", "rows.csv"]) == 0
+    version, header, row = (out_env / "rows.csv").read_text().splitlines()
+    assert version == f"# {CSV_VERSION}"
+    assert header.split(",") == CSV_COLUMNS
+    assert len(row.split(",")) == len(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# streamcolor-csv-0\nalgo,family\nchunk,x\n",
+        f"# {CSV_VERSION}\nalgo,family\n",  # the version line, another header
+        "n 6\n0 1\n",
+    ],
+    ids=["older-version", "other-header", "not-csv"],
+)
+def test_csv_refuses_a_foreign_file_before_colouring(out_env, capsys, command, text):
+    argv = csv_command(command, out_env)
+    (out_env / "rows.csv").write_text(text)
+    capsys.readouterr()
+    assert main([*argv, "--csv", "rows.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (out_env / "rows.csv").read_text() == text
+    assert not (out_env / "t.tr").exists() and not (out_env / "runs").exists()
+
+
 def test_usage_error_exit_code_two(out_env):
     assert main(["generate", "--family", "dodecahedron:5"]) == 2
     assert main(["run", "--algo", "chunk", "--graph", str(out_env / "missing.el")]) == 2

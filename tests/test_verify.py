@@ -23,7 +23,9 @@ from streamcolor import (
     verify,
 )
 from streamcolor.core import checked_edge
-from streamcolor.verify import ConcentrationSummary, _verify_scalar
+from streamcolor.verify import ConcentrationSummary
+
+from test_batch import verify_records
 
 
 def transcript_of(records, n=10):
@@ -154,7 +156,7 @@ class TestEdgeRule:
             StreamHeader(3),
             [(Edge(0, 1), A), (Edge(1, 2), A), (Edge(0, 5), ChunkColour(0, 0))],
         )
-        for check in (verify, _verify_scalar, chunk_concentration):
+        for check in (verify, verify_records, chunk_concentration):
             with pytest.raises(ValidationError, match=self.OUT_OF_RANGE):
                 check(t)
 
